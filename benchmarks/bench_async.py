@@ -1,21 +1,13 @@
-"""Slow-client isolation of the asyncio front end vs the threaded server.
+"""Slow-client isolation of the asyncio front end.
 
 The scenario is the head-of-line regime the async front end exists for: a
 warm :class:`~repro.serving.service.PlanService` (fast requests are cache
 hits, sub-millisecond), **K deliberately slow clients** that connect and
 trickle their request bodies over several seconds, and a handful of fast
-clients measuring request latency the whole time.
-
-* The **threaded** server is run with ``max_connections=K`` — the
-  production-shaped bound (an unbounded thread-per-connection server hides
-  the same cost in its thread count).  Each slow client pins one handler
-  thread inside a blocking body read, so with K of them attached the accept
-  loop stalls and fast clients queue behind the slow cohort: fast-client p50
-  inflates from milliseconds to seconds.
-* The **asyncio** server (:mod:`repro.serving.aserver`) gives the slow
-  cohort exactly K parked coroutines; its bounded executor bridge only ever
-  holds *complete* requests, so fast-client p50 stays at its no-slow-client
-  baseline (acceptance: within 1.5x).
+clients measuring request latency the whole time.  The server
+(:mod:`repro.serving.aserver`) gives the slow cohort exactly K parked
+coroutines and answers only *complete* requests, so fast-client p50 stays
+at its no-slow-client baseline (acceptance: within 1.5x).
 
 A second section verifies the other half of this PR's tentpole on a live
 router: N process shards are served by **one** response multiplexer thread
@@ -42,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.serialization import problem_to_dict
-from repro.serving import PlanService, PlanServiceConfig, serve, serve_async
+from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.sharding import ShardRouter, ShardRouterConfig
 from repro.utils import runtime_provenance
 from repro.workloads import credit_card_screening
@@ -194,51 +186,26 @@ def run_isolation(quick: bool) -> dict:
         f"{fast_clients} fast clients, warm cache"
     )
 
-    runs = []
-    for kind in ("threaded", "async"):
-        with PlanService(service_config()) as service:
-            service.submit(problem)  # warm: fast requests are cache hits
-            if kind == "threaded":
-                # The production-shaped bound: K slow clients pin every slot.
-                server = serve(service, port=0, max_connections=slow)
-                server.serve_in_background()
-                address = server.server_address[:2]
-                try:
-                    runs.append(
-                        measure_server(
-                            kind,
-                            address,
-                            body,
-                            slow_clients=slow,
-                            hold_seconds=hold_seconds,
-                            fast_clients=fast_clients,
-                            baseline_seconds=baseline_seconds,
-                        )
-                    )
-                finally:
-                    server.close_gracefully(timeout=5.0)
-            else:
-                with serve_async(service, port=0) as handle:
-                    runs.append(
-                        measure_server(
-                            kind,
-                            handle.address,
-                            body,
-                            slow_clients=slow,
-                            hold_seconds=hold_seconds,
-                            fast_clients=fast_clients,
-                            baseline_seconds=baseline_seconds,
-                        )
-                    )
+    with PlanService(service_config()) as service:
+        service.submit(problem)  # warm: fast requests are cache hits
+        with serve_async(service, port=0) as handle:
+            run = measure_server(
+                "async",
+                handle.address,
+                body,
+                slow_clients=slow,
+                hold_seconds=hold_seconds,
+                fast_clients=fast_clients,
+                baseline_seconds=baseline_seconds,
+            )
     return {
         "workload": {
             "slow_clients": slow,
             "hold_seconds": hold_seconds,
             "fast_clients": fast_clients,
             "baseline_seconds": baseline_seconds,
-            "threaded_max_connections": slow,
         },
-        "runs": runs,
+        "runs": [run],
     }
 
 
@@ -288,16 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     isolation = run_isolation(args.quick)
     multiplexer = run_multiplexer_check(args.quick)
 
-    by_kind = {run["server"]: run for run in isolation["runs"]}
+    degradation = isolation["runs"][0]["degradation_ratio"]
     acceptance = {
         "slow_clients": isolation["workload"]["slow_clients"],
-        "async_degradation_ratio": by_kind["async"]["degradation_ratio"],
-        "async_within_limit": by_kind["async"]["degradation_ratio"]
-        <= ASYNC_DEGRADATION_LIMIT,
+        "async_degradation_ratio": degradation,
+        "async_within_limit": degradation <= ASYNC_DEGRADATION_LIMIT,
         "async_degradation_limit": ASYNC_DEGRADATION_LIMIT,
-        "threaded_degradation_ratio": by_kind["threaded"]["degradation_ratio"],
-        "threaded_measurably_degrades": by_kind["threaded"]["degradation_ratio"]
-        > 2 * ASYNC_DEGRADATION_LIMIT,
         "one_multiplexer_not_reader_threads": (
             multiplexer["multiplexer_threads"] == 1
             and multiplexer["per_shard_reader_threads"] == 0
@@ -319,10 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nwrote {args.output}")
     print(
         f"acceptance: async degradation {acceptance['async_degradation_ratio']:.2f}x "
-        f"<= {ASYNC_DEGRADATION_LIMIT}x ({acceptance['async_within_limit']}), threaded "
-        f"{acceptance['threaded_degradation_ratio']:.2f}x "
-        f"(degrades={acceptance['threaded_measurably_degrades']}), one multiplexer: "
-        f"{acceptance['one_multiplexer_not_reader_threads']}"
+        f"<= {ASYNC_DEGRADATION_LIMIT}x ({acceptance['async_within_limit']}), "
+        f"one multiplexer: {acceptance['one_multiplexer_not_reader_threads']}"
     )
     return 0
 

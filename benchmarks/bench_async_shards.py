@@ -1,30 +1,18 @@
-"""Native async shard path vs the executor bridge on a warm process-shard router.
+"""The awaitable shard path under paced load on a warm process-shard router.
 
-The tentpole scenario of the end-to-end async shard path: one warm
-:class:`~repro.sharding.router.ShardRouter` over N process shards, served by
-the same :class:`~repro.serving.aserver.AsyncPlanServer` twice —
+One warm :class:`~repro.sharding.router.ShardRouter` over N process shards,
+served by the :class:`~repro.serving.aserver.AsyncPlanServer`: every request
+is awaited end to end — the shard answer resolves the request's future from
+the (single) response-multiplexer thread, and **no** per-request handler
+thread exists.
 
-* **bridged**: the pre-existing path; every POST crosses a bounded
-  ``run_in_executor`` pool, so each in-flight request occupies one bridge
-  thread blocking on the shard waiter;
-* **native**: the request is awaited end to end; the shard answer resolves an
-  ``asyncio`` future via ``loop.call_soon_threadsafe`` from the (single)
-  response-multiplexer thread, and **no** per-request handler thread exists.
-
-Both modes serve the same concurrent keep-alive clients over the same warm
-(cache-hit) problem set.  The clients are *paced* (a fixed per-client think
-time between requests) so the server runs at high-but-not-saturated
-utilisation: that is the regime where p50 measures per-request latency rather
-than pure queueing.  Each bridged request needs two extra thread wakeups (the
-bridge worker picking the request up, then being woken by the multiplexer's
-``Event.set``), and under a contended interpreter every wakeup waits behind
-whichever thread holds the GIL — milliseconds, not microseconds.  The native
-path completes on the event loop with no handler thread to wake.  (At full
-saturation both modes converge on the same interpreter-bound throughput cap
-and p50 degenerates to ``concurrency / throughput``; the paced regime is the
-production-shaped one.)  The payload also audits live thread counts during
-the native run (0 ``aserver-bridge`` workers, 1 ``shard-mux`` selector) and
-checks that native responses are byte-identical to the blocking router's for
+Concurrent keep-alive clients cycle through the same warm (cache-hit)
+problem set.  The clients are *paced* (a fixed per-client think time between
+requests) so the server runs at high-but-not-saturated utilisation: that is
+the regime where p50 measures per-request latency rather than pure queueing.
+The payload also audits live thread counts during the run (no thread beyond
+those alive when the clients started, 1 ``shard-mux`` selector) and checks
+that the served responses are byte-identical to the blocking router's for
 the same problems (modulo the per-call latency measurement).
 
 Usage::
@@ -56,9 +44,6 @@ from repro.utils import runtime_provenance
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_async_shards.json"
 
-NATIVE_SPEEDUP_TARGET = 1.3
-"""Acceptance: bridged p50 / native p50 on the full (32-client) run."""
-
 
 def service_config() -> PlanServiceConfig:
     """Cheap, deterministic shards: the benchmark measures the request path."""
@@ -83,10 +68,6 @@ def build_problems(count: int, size: int = 8) -> list[OrderingProblem]:
         ]
         problems.append(OrderingProblem.from_parameters(costs, selectivities, rows))
     return problems
-
-
-def thread_names(prefix: str) -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
 
 
 def client_loop(
@@ -128,11 +109,11 @@ def _client_worker_main(
     """Client-process entry point: drive ``threads_per_worker`` paced clients.
 
     Clients live in their own processes so their HTTP work never contends for
-    the server process's GIL — the measured difference is the server-side
-    request path, which is the thing under test.  The worker signals readiness
-    and then blocks on ``start`` so the measured window begins only after
-    every client process has finished interpreter startup — on a small
-    machine the simultaneous spawn storm would otherwise pollute the samples.
+    the server process's GIL — the measured time is the server-side request
+    path.  The worker signals readiness and then blocks on ``start`` so the
+    measured window begins only after every client process has finished
+    interpreter startup — on a small machine the simultaneous spawn storm
+    would otherwise pollute the samples.
     """
     latencies: list[float] = []
     lock = threading.Lock()
@@ -162,7 +143,6 @@ def _client_worker_main(
 
 
 def run_trial(
-    kind: str,
     router: ShardRouter,
     bodies: list[bytes],
     *,
@@ -170,25 +150,30 @@ def run_trial(
     duration: float,
     think_seconds: float = 0.0,
 ) -> dict:
-    """One measured window against one server mode: raw latencies + audit."""
+    """One measured window: raw latencies plus the thread audit."""
     import multiprocessing
 
-    native = kind == "native"
     threads_per_worker = min(4, clients)
     workers = clients // threads_per_worker
     if workers * threads_per_worker != clients:
         raise ValueError(
             f"clients={clients} must divide into {threads_per_worker}-thread workers"
         )
-    with serve_async(router, port=0, native_async=native) as handle:
+    with serve_async(router, port=0) as handle:
         address = handle.address
-        peak_bridge = 0
+        baseline = {thread.ident for thread in threading.enumerate()}
+        peak_extra = 0
         sampling = threading.Event()
 
         def sample_threads() -> None:
-            nonlocal peak_bridge
+            nonlocal peak_extra
+            me = threading.get_ident()
             while not sampling.is_set():
-                peak_bridge = max(peak_bridge, len(thread_names("aserver-bridge")))
+                extra = [
+                    thread for thread in threading.enumerate()
+                    if thread.ident not in baseline and thread.ident != me
+                ]
+                peak_extra = max(peak_extra, len(extra))
                 time.sleep(0.01)
 
         # spawn, not fork: the parent runs an event loop, a selector thread
@@ -231,12 +216,12 @@ def run_trial(
 
     return {
         "latencies": latencies,
-        "peak_bridge_threads": peak_bridge,
+        "peak_handler_threads": peak_extra,
         "multiplexer_threads": mux_threads,
     }
 
 
-def measure_modes(
+def measure(
     router: ShardRouter,
     bodies: list[bytes],
     *,
@@ -244,61 +229,40 @@ def measure_modes(
     duration: float,
     think_seconds: float = 0.0,
     trials: int = 1,
-) -> dict[str, dict]:
-    """Alternate native/bridged trials and pool each mode's latencies.
-
-    Interleaving the modes cancels slow machine-state drift (thermal, other
-    tenants) that a single long back-to-back pair would fold into the ratio.
-    Native runs first in each pair so its thread audit never sees stragglers
-    of a bridged trial's executor pool.
-    """
-    pooled: dict[str, dict] = {
-        kind: {"latencies": [], "peak_bridge_threads": 0, "multiplexer_threads": []}
-        for kind in ("native", "bridged")
-    }
-    for trial in range(trials):
-        for kind in ("native", "bridged"):
-            outcome = run_trial(
-                kind,
-                router,
-                bodies,
-                clients=clients,
-                duration=duration,
-                think_seconds=think_seconds,
-            )
-            mode = pooled[kind]
-            mode["latencies"].extend(outcome["latencies"])
-            mode["peak_bridge_threads"] = max(
-                mode["peak_bridge_threads"], outcome["peak_bridge_threads"]
-            )
-            mode["multiplexer_threads"].append(outcome["multiplexer_threads"])
-
-    runs: dict[str, dict] = {}
-    for kind, mode in pooled.items():
-        latencies = sorted(mode["latencies"])
-        run = {
-            "mode": kind,
-            "trials": trials,
-            "requests": len(latencies),
-            "throughput_rps": len(latencies) / (duration * trials),
-            "p50_ms": statistics.median(latencies) * 1e3,
-            "p90_ms": latencies[int(0.9 * (len(latencies) - 1))] * 1e3,
-            "p99_ms": latencies[int(0.99 * (len(latencies) - 1))] * 1e3,
-            "peak_bridge_threads": mode["peak_bridge_threads"],
-            "multiplexer_threads": max(mode["multiplexer_threads"]),
-        }
-        print(
-            f"{kind}: {run['requests']} requests over {trials} trial(s), "
-            f"p50 {run['p50_ms']:.2f} ms, p90 {run['p90_ms']:.2f} ms, "
-            f"{run['throughput_rps']:.0f} req/s, "
-            f"peak bridge threads {run['peak_bridge_threads']}"
+) -> dict:
+    """Pool the latencies of ``trials`` windows into one run summary."""
+    latencies: list[float] = []
+    peak_handler_threads = 0
+    multiplexer_threads = []
+    for _ in range(trials):
+        outcome = run_trial(
+            router, bodies, clients=clients, duration=duration, think_seconds=think_seconds
         )
-        runs[kind] = run
-    return runs
+        latencies.extend(outcome["latencies"])
+        peak_handler_threads = max(peak_handler_threads, outcome["peak_handler_threads"])
+        multiplexer_threads.append(outcome["multiplexer_threads"])
+    latencies.sort()
+    run = {
+        "trials": trials,
+        "requests": len(latencies),
+        "throughput_rps": len(latencies) / (duration * trials),
+        "p50_ms": statistics.median(latencies) * 1e3,
+        "p90_ms": latencies[int(0.9 * (len(latencies) - 1))] * 1e3,
+        "p99_ms": latencies[int(0.99 * (len(latencies) - 1))] * 1e3,
+        "peak_handler_threads": peak_handler_threads,
+        "multiplexer_threads": max(multiplexer_threads),
+    }
+    print(
+        f"{run['requests']} requests over {trials} trial(s), "
+        f"p50 {run['p50_ms']:.2f} ms, p90 {run['p90_ms']:.2f} ms, "
+        f"{run['throughput_rps']:.0f} req/s, "
+        f"peak handler threads {run['peak_handler_threads']}"
+    )
+    return run
 
 
 def parity_check(router: ShardRouter, problems: list[OrderingProblem]) -> dict:
-    """Native server answers vs the blocking router, byte for byte.
+    """Served answers vs the blocking router, byte for byte.
 
     Both sides answer from the warm shard cache, so every field except the
     per-call latency measurement must match exactly.
@@ -306,7 +270,6 @@ def parity_check(router: ShardRouter, problems: list[OrderingProblem]) -> dict:
     volatile = ("latency_seconds", "trace_id")
     mismatches = 0
     with serve_async(router, port=0) as handle:
-        assert handle.server.native_async
         connection = http.client.HTTPConnection(*handle.address, timeout=30)
         try:
             for problem in problems:
@@ -316,18 +279,18 @@ def parity_check(router: ShardRouter, problems: list[OrderingProblem]) -> dict:
                     headers={"Content-Type": "application/json"},
                 )
                 response = connection.getresponse()
-                native_document = json.loads(response.read())
+                served_document = json.loads(response.read())
                 assert response.status == 200
                 sync_document = response_to_dict(router.submit(problem))
-                native_comparable = {
-                    key: value for key, value in native_document.items()
+                served_comparable = {
+                    key: value for key, value in served_document.items()
                     if key not in volatile
                 }
                 sync_comparable = {
                     key: value for key, value in sync_document.items()
                     if key not in volatile
                 }
-                if native_comparable != sync_comparable:
+                if served_comparable != sync_comparable:
                     mismatches += 1
         finally:
             connection.close()
@@ -364,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"async shard path: {shards} process shards, {clients} concurrent clients "
         f"({think_seconds * 1e3:.0f} ms think time), {trials} x {duration:.0f} s "
-        f"interleaved trials per mode, warm cache"
+        f"trials, warm cache"
     )
 
     config = ShardRouterConfig(
@@ -376,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         bodies = [
             json.dumps(problem_to_dict(problem)).encode("utf-8") for problem in problems
         ]
-        runs = measure_modes(
+        run = measure(
             router,
             bodies,
             clients=clients,
@@ -384,17 +347,12 @@ def main(argv: list[str] | None = None) -> int:
             think_seconds=think_seconds,
             trials=trials,
         )
-        native, bridged = runs["native"], runs["bridged"]
         parity = parity_check(router, problems)
 
-    speedup = bridged["p50_ms"] / native["p50_ms"]
     acceptance = {
         "concurrent_clients": clients,
-        "native_p50_speedup": speedup,
-        "native_speedup_target": NATIVE_SPEEDUP_TARGET,
-        "native_meets_target": speedup >= NATIVE_SPEEDUP_TARGET,
-        "native_zero_handler_threads": native["peak_bridge_threads"] == 0,
-        "one_multiplexer_thread": native["multiplexer_threads"] == 1,
+        "native_zero_handler_threads": run["peak_handler_threads"] == 0,
+        "one_multiplexer_thread": run["multiplexer_threads"] == 1,
         "responses_byte_identical": parity["mismatches"] == 0,
     }
 
@@ -410,19 +368,18 @@ def main(argv: list[str] | None = None) -> int:
             "concurrent_clients": clients,
             "think_seconds_per_client": think_seconds,
             "seconds_per_trial": duration,
-            "interleaved_trials": trials,
+            "trials": trials,
             "distinct_problems": len(problems),
         },
-        "runs": [native, bridged],
+        "runs": [run],
         "parity": parity,
         "acceptance": acceptance,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")
     print(
-        f"acceptance: native p50 speedup {speedup:.2f}x >= {NATIVE_SPEEDUP_TARGET}x "
-        f"({acceptance['native_meets_target']}), zero handler threads: "
-        f"{acceptance['native_zero_handler_threads']}, byte-identical: "
+        f"acceptance: zero handler threads: {acceptance['native_zero_handler_threads']}, "
+        f"one multiplexer: {acceptance['one_multiplexer_thread']}, byte-identical: "
         f"{acceptance['responses_byte_identical']}"
     )
     return 0

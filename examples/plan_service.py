@@ -25,7 +25,7 @@ import urllib.request
 
 from repro.core import CommunicationCostMatrix, OrderingProblem
 from repro.serialization import problem_to_dict
-from repro.serving import PlanService, PlanServiceConfig, serve
+from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.workloads import credit_card_screening, default_spec, generate_problem
 
 
@@ -81,10 +81,8 @@ def main() -> None:
         print(f"hit  p50 latency: {stats['requests']['latency']['hit']['p50'] * 1e3:.2f} ms")
 
         print("\n== the same service over HTTP ==")
-        server = serve(service, host="127.0.0.1", port=0)
-        server.serve_in_background()
-        host, port = server.server_address[:2]
-        try:
+        with serve_async(service, host="127.0.0.1", port=0) as server:
+            host, port = server.address
             body = json.dumps(problem_to_dict(problems[0])).encode("utf-8")
             request = urllib.request.Request(
                 f"http://{host}:{port}/plan",
@@ -101,9 +99,6 @@ def main() -> None:
             with urllib.request.urlopen(f"http://{host}:{port}/stats", timeout=30) as raw:
                 remote_stats = json.loads(raw.read().decode("utf-8"))
             print(f"GET /stats -> answered={remote_stats['requests']['answered']}")
-        finally:
-            server.shutdown()
-            server.server_close()
 
 
 if __name__ == "__main__":

@@ -140,13 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd = subparsers.add_parser("serve", help="run the long-running JSON/HTTP plan service")
     serve_cmd.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve_cmd.add_argument("--port", type=int, default=8080, help="TCP port to bind (0 = ephemeral)")
-    serve_cmd.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve through the asyncio front end (one event loop; slow "
-        "clients cost sockets, not handler threads)",
-    )
+    # The asyncio front end is the only one; the flag that used to select it
+    # is still accepted so existing command lines keep working.
+    serve_cmd.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve_cmd.add_argument(
         "--graceful-timeout",
         type=float,
@@ -410,7 +406,7 @@ def _wait_forever() -> None:  # pragma: no cover - interrupted, or patched in te
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serving import PlanService, PlanServiceConfig, serve
+    from repro.serving import PlanService, PlanServiceConfig, serve_async
 
     if args.shards < 1:
         raise ReproError(f"--shards must be at least 1, got {args.shards!r}")
@@ -443,48 +439,26 @@ def _command_serve(args: argparse.Namespace) -> int:
         topology = "1 service"
     with backend as service:
         try:
-            if args.use_async:
-                from repro.serving import serve_async
-
-                front_end = serve_async(service, host=args.host, port=args.port)
-                host, port = front_end.address
-                # Process shards answer as event-loop futures (zero bridge
-                # threads); in-proc services fall back to the bounded bridge.
-                if front_end.server.native_async:
-                    flavour = "native async shard path; "
-                else:
-                    flavour = "async front end; "
-            else:
-                front_end = serve(service, host=args.host, port=args.port)
-                host, port = front_end.server_address[:2]
-                flavour = ""
+            front_end = serve_async(service, host=args.host, port=args.port)
         except OSError as error:
             raise ReproError(
                 f"cannot bind {args.host}:{args.port}: {error.strerror or error}"
             ) from error
+        host, port = front_end.address
         from repro.core.vector import resolve_kernel
 
         kernel = resolve_kernel(args.kernel if args.kernel != "auto" else None)
         print(
             f"plan service ({topology}, {kernel} kernel) listening on "
             f"http://{host}:{port} "
-            f"({flavour}POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
+            f"(async front end; POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
         )
         try:
-            if args.use_async:
-                _wait_forever()  # the event loop serves on its own thread
-            else:
-                # serve_forever runs on this thread, so when it returns (or
-                # is interrupted) the accept loop is already down; draining
-                # in-flight handlers is the graceful path's job.
-                front_end.serve_forever()
+            _wait_forever()  # the event loop serves on its own thread
         except KeyboardInterrupt:
             print("shutting down")
         finally:
-            if args.use_async:
-                front_end.close(timeout=args.graceful_timeout)
-            else:
-                front_end.close_gracefully(timeout=args.graceful_timeout)
+            front_end.close(timeout=args.graceful_timeout)
     return 0
 
 

@@ -25,11 +25,11 @@ whatever processes the request touched.  The design is deliberately small:
   :func:`activate_trace` and ships its finished spans back, where
   :func:`emit_spans` folds them into the caller's collection).
   ``asyncio`` needs *neither*: contextvars flow into coroutines and into
-  tasks spawned by ``asyncio.gather`` automatically, so the native async
-  shard path simply activates the trace around the ``await``
-  (:func:`repro.serving.http.dispatch_request_async`) and every span opened
-  down the awaitable chain — router fan-out, shard wire call — lands in the
-  same tree the threaded path produces, with no positional hand-off.
+  tasks spawned by ``asyncio.gather`` automatically, so the front end
+  simply activates the trace around the ``await``
+  (:func:`repro.serving.http.dispatch_request`) and every span opened down
+  the awaitable chain — router fan-out, shard wire call — lands in one
+  tree, with no positional hand-off.
 
 The collector is a plain list shared by the activation and every child scope;
 appends are atomic under the GIL, so racing portfolio threads may finish

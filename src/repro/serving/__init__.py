@@ -16,9 +16,10 @@ becomes a long-running service here:
 * :mod:`repro.serving.service` — the :class:`PlanService` façade with
   admission control, single-flight miss coalescing and batch optimization,
 * :mod:`repro.serving.metrics` — per-request latency and quality metrics,
-* :mod:`repro.serving.http` — a stdlib ``ThreadingHTTPServer`` JSON endpoint,
-* :mod:`repro.serving.aserver` — the :mod:`asyncio` front end serving the
-  same routes from one event loop: slow clients cost sockets, not threads.
+* :mod:`repro.serving.http` — the JSON/HTTP contract: routes, status
+  mapping and the answer's wire form, in one request core,
+* :mod:`repro.serving.aserver` — the :mod:`asyncio` front end serving those
+  routes from one event loop: slow clients cost sockets, not threads.
 
 Quickstart
 ----------
@@ -43,12 +44,9 @@ from repro.serving.fingerprint import (
 )
 from repro.serving.http import (
     MAX_BODY_BYTES,
-    PlanServer,
     dispatch_request,
-    dispatch_request_async,
     response_from_dict,
     response_to_dict,
-    serve,
 )
 from repro.serving.metrics import LatencySummary, ServingMetrics
 from repro.serving.portfolio import (
@@ -77,7 +75,6 @@ __all__ = [
     "LocalStore",
     "PlanCache",
     "PlanResponse",
-    "PlanServer",
     "PlanService",
     "PlanServiceConfig",
     "PortfolioOptimizer",
@@ -88,12 +85,10 @@ __all__ = [
     "SharedStore",
     "SingleFlight",
     "dispatch_request",
-    "dispatch_request_async",
     "fingerprint_problem",
     "quantize",
     "response_from_dict",
     "response_to_dict",
     "run_portfolio",
-    "serve",
     "serve_async",
 ]

@@ -1,48 +1,33 @@
-"""An :mod:`asyncio` HTTP front end: slow clients cost sockets, not threads.
+"""The :mod:`asyncio` HTTP front end: slow clients cost sockets, not threads.
 
-The threaded front end (:mod:`repro.serving.http`) spends one handler thread
-per connection, so a slow or stalled client — trickling its request body,
-reading its response at modem speed, idling on keep-alive — pins a thread for
-the duration.  Bound the thread count (as production must) and K such clients
-starve the fast path outright; leave it unbounded and K is also the thread
-count.  This module serves the same four routes from a single event loop:
+One event loop serves every route of :mod:`repro.serving.http`:
 
 * **connections** are ``asyncio`` streams — reading the request head and body
-  and writing the response are awaited, so a slow peer suspends one coroutine
-  (a few KB) rather than occupying a thread;
-* **request handling** is *native async* when the backend supports it: a
-  process-shard :class:`~repro.sharding.router.ShardRouter` exposes
-  ``submit_async`` / ``optimize_batch_async`` (``supports_async``), so POSTs
-  are awaited end to end — the request suspends on an ``asyncio.Future``
-  that the shard multiplexer resolves via ``loop.call_soon_threadsafe``,
-  and **zero** handler threads exist anywhere on the request path.  In-proc
-  backends (a plain :class:`~repro.serving.service.PlanService`) fall back
-  to a *bounded* ``run_in_executor`` bridge sized off the backend's
-  admission control.  Both paths route through the shared dispatch core
-  (:func:`~repro.serving.http.dispatch_request` /
-  :func:`~repro.serving.http.dispatch_request_async`), so status mapping
-  (400/404/413/503/500) and response bytes are identical by construction;
-* **overload** stays crisp: when every executor slot is bridging a request,
-  further POSTs are answered 503 immediately (mirroring
-  :class:`~repro.exceptions.AdmissionError`) instead of queueing unboundedly
-  behind the pool — and ``GET /healthz`` is answered inline on the event
-  loop, so liveness probing survives saturation;
+  and writing the response are awaited, so a slow or stalled peer (trickling
+  its body, reading its answer at modem speed, idling on keep-alive)
+  suspends one coroutine (a few KB) rather than occupying a thread;
+* **requests** are awaited end to end through the shared request core
+  (:func:`~repro.serving.http.dispatch_request`) against the backend's
+  awaitable surface: a :class:`~repro.serving.service.PlanService` answers a
+  cache hit inline on the loop and awaits a miss's optimization future, and a
+  process-shard :class:`~repro.sharding.router.ShardRouter` suspends the
+  request on a future the shard multiplexer resolves — no handler thread
+  exists anywhere on the request path;
+* **overload** is the backend's admission control: a request beyond its
+  bound is refused at once with HTTP 503 (``GET /healthz`` never touches the
+  backend, so liveness probing survives saturation);
 * **shutdown** is graceful: stop accepting, drain requests in flight against
   a deadline, cancel idle/straggling connections, then (optionally) close
   the backend.
 
 HTTP/1.1 parsing is hand-rolled and minimal (request line, headers,
 ``Content-Length``-framed bodies, keep-alive) in the repository's
-stdlib-only style.  Process shards behind a router keep answering through
-the process-wide :class:`~repro.sharding.multiplexer.ResponseMultiplexer`,
-so a native-async process-shard deployment runs exactly one event loop for
-sockets plus one selector thread for shard pipes — no bridge threads at
-all (the bridge pools exist but never spawn a thread until first use, and
-the native path never uses the plan bridge).
+stdlib-only style.  A process-shard deployment runs exactly one event loop
+for sockets plus the one selector thread
+(:class:`~repro.sharding.multiplexer.ResponseMultiplexer`) for shard pipes.
 
 ``benchmarks/bench_async.py`` measures the payoff: K deliberately slow
-clients leave fast-client latency through this server at its baseline while
-the (bounded) threaded server degrades by orders of magnitude.
+clients leave fast-client latency through this server at its baseline.
 """
 
 from __future__ import annotations
@@ -50,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from typing import Any
 
@@ -60,43 +44,13 @@ from repro.serving.http import (
     PayloadTooLargeError,
     PlanBackend,
     dispatch_request,
-    dispatch_request_async,
     validated_content_length,
 )
-from repro.serving.service import PlanServiceConfig
 
 __all__ = ["AsyncPlanServer", "AsyncServerHandle", "serve_async"]
 
 _HEAD_LIMIT = 64 * 1024
 """Maximum request-head (request line + headers) size before a 400."""
-
-_FALLBACK_WORKERS = 32
-"""Bridge-pool size when the backend exposes no admission configuration."""
-
-
-def _admission_sized_workers(backend: "PlanBackend") -> int:
-    """Bridge-pool size derived from the backend's admission control.
-
-    A single service admits ``max_in_flight + queue_depth`` requests; a shard
-    router multiplies that by its shard count (each shard admits its own).
-    Sizing the bridge to exactly that bound means the pool can never queue
-    work the backend would have accepted, and anything beyond it is load the
-    backend would reject anyway — the front door answers 503 without
-    touching a thread.
-
-    The size is read once, at server construction: a router resized live
-    (``add_shard`` / ``remove_shard``) keeps the original bridge bound until
-    the front end is restarted (or constructed with an explicit
-    ``max_workers``) — conservative after growth, queueing-prone after
-    shrinkage, never wrong answers.
-    """
-    config = getattr(backend, "config", None)
-    service_config = getattr(config, "service_config", config)
-    if isinstance(service_config, PlanServiceConfig):
-        per_service = service_config.max_in_flight + service_config.queue_depth
-        shards = getattr(config, "shards", 1) if config is not service_config else 1
-        return per_service * max(1, shards)
-    return _FALLBACK_WORKERS
 
 
 def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
@@ -122,7 +76,7 @@ def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
 
 
 class AsyncPlanServer:
-    """The asyncio JSON/HTTP plan server (same routes as :class:`PlanServer`).
+    """The asyncio JSON/HTTP plan server.
 
     Drive it natively (``await start(); await serve_forever()``) or from
     synchronous code via :func:`serve_async`, which runs the loop on a
@@ -136,39 +90,16 @@ class AsyncPlanServer:
         port: int = 8080,
         *,
         max_body_bytes: int = MAX_BODY_BYTES,
-        max_workers: int | None = None,
         request_timeout: float = REQUEST_TIMEOUT_SECONDS,
-        native_async: bool | None = None,
     ) -> None:
         self.plan_service = plan_service
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
         self.request_timeout = request_timeout
-        # Native path: awaitable end-to-end when the backend says it can
-        # (a process-shard ShardRouter sets ``supports_async``).  The
-        # explicit override exists for benchmarks that force the bridged
-        # path on an async-capable backend (and for belt-and-braces opt-out).
-        self.native_async = (
-            native_async
-            if native_async is not None
-            else bool(getattr(plan_service, "supports_async", False))
-        )
-        self.max_workers = (
-            max_workers if max_workers is not None else _admission_sized_workers(plan_service)
-        )
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="aserver-bridge"
-        )
-        # GETs (/stats) bridge on their own lane so monitoring answers even
-        # with every plan-bridging slot saturated.
-        self._aux_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="aserver-aux"
-        )
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._busy: set[asyncio.Task] = set()
-        self._bridged = 0  # executor slots currently bridging a request
         self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -214,12 +145,9 @@ class AsyncPlanServer:
             task.cancel()
         if leftovers:
             await asyncio.gather(*leftovers, return_exceptions=True)
-        self._executor.shutdown(wait=False)
-        self._aux_executor.shutdown(wait=False)
         if close_backend:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.plan_service.close
-            )
+            # Closing a shard tier joins its processes: not on the loop.
+            await asyncio.to_thread(self.plan_service.close)
         return drained
 
     # -- the connection loop ----------------------------------------------
@@ -282,8 +210,8 @@ class AsyncPlanServer:
                         return  # half-sent body then silence: drop the socket
                 self._busy.add(task)
                 try:
-                    status, payload = await self._answer(
-                        method, path, body, headers.get("x-trace-id")
+                    status, payload = await dispatch_request(
+                        self.plan_service, method, path, body, headers.get("x-trace-id")
                     )
                     keep_alive = (
                         status < 400
@@ -307,55 +235,6 @@ class AsyncPlanServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    async def _answer(
-        self, method: str, path: str, body: bytes, trace_id: str | None = None
-    ) -> tuple[int, "dict[str, Any] | str"]:
-        """Bridge one framed request to the blocking service surface."""
-        loop = asyncio.get_running_loop()
-        if method != "POST":
-            if path == "/healthz":
-                # Liveness is answered inline: no bridge, no saturation.
-                return 200, {"status": "ok"}
-            # /stats, /metrics, /trace and 404s ride the auxiliary lane,
-            # insulated from a saturated plan bridge (the threaded server
-            # likewise answers them on their own handler thread).
-            return await loop.run_in_executor(
-                self._aux_executor, dispatch_request, self.plan_service, method, path, body
-            )
-        if self._bridged >= self.max_workers:
-            # The front door is exactly admission-sized, so hitting the bound
-            # means the backend would reject this request anyway — say so
-            # without spending a thread (the async mirror of AdmissionError).
-            # The same accounting covers both paths: bridged requests hold an
-            # executor slot, native ones just hold the counter.
-            return 503, {
-                "error": f"async front end over capacity: {self._bridged} requests "
-                f"in flight (limit {self.max_workers})"
-            }
-        self._bridged += 1  # single-threaded mutation: we run on the loop
-        try:
-            if self.native_async:
-                # Native path: the whole request lifecycle stays on this
-                # loop.  The trace activates *around the await* inside the
-                # async dispatch core — the coroutine runs in our context,
-                # so no positional hand-off is needed.
-                return await dispatch_request_async(
-                    self.plan_service, method, path, body, trace_id
-                )
-            # The trace rides the bridge as a positional argument: the
-            # executor thread has no ambient trace context of its own.
-            return await loop.run_in_executor(
-                self._executor,
-                dispatch_request,
-                self.plan_service,
-                method,
-                path,
-                body,
-                trace_id,
-            )
-        finally:
-            self._bridged -= 1
 
     async def _respond(
         self,
@@ -387,7 +266,7 @@ class AsyncPlanServer:
 class AsyncServerHandle:
     """A running :class:`AsyncPlanServer` driven by a background loop thread.
 
-    What synchronous callers (tests, the CLI's ``repro serve --async``) hold:
+    What synchronous callers (tests, the CLI's ``repro serve``) hold:
     exposes the bound address and a blocking :meth:`close` that performs the
     server's graceful shutdown and joins the loop thread.
     """
@@ -436,10 +315,10 @@ def serve_async(
 ) -> AsyncServerHandle:
     """Start an :class:`AsyncPlanServer` on a background event-loop thread.
 
-    The synchronous mirror of :func:`repro.serving.http.serve` +
-    ``serve_in_background()``: returns once the socket is bound (binding
-    errors re-raise here), and the handle's :meth:`~AsyncServerHandle.close`
-    shuts everything down gracefully.
+    Returns once the socket is bound (binding errors re-raise here); the
+    handle's :meth:`~AsyncServerHandle.close` shuts everything down
+    gracefully.  ``server_options`` are forwarded (``max_body_bytes``,
+    ``request_timeout``).
     """
     server = AsyncPlanServer(plan_service, host, port, **server_options)
     loop = asyncio.new_event_loop()

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,66 +144,88 @@ class CacheLookup:
 class _InFlightCall:
     """Bookkeeping of one in-flight single-flighted computation."""
 
-    __slots__ = ("done", "result", "error", "waiters")
+    __slots__ = ("future", "waiters")
 
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: object | None = None
-        self.error: str | None = None
+    def __init__(self, future: Future) -> None:
+        self.future = future
         self.waiters = 0
+
+
+def _running_future() -> Future:
+    """A future its callers cannot cancel: it is running from the start."""
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    return future
 
 
 class SingleFlight:
     """Per-key call coalescing (the classic *single-flight* primitive).
 
-    When several threads miss the cache on the same fingerprint at once, only
-    the first — the *leader* — actually runs the expensive computation;
-    followers block until the leader finishes and share its outcome.  This is
-    the thundering-herd fix: N concurrent misses on one key cost one
-    optimization, not N.
+    When several callers miss the cache on the same fingerprint at once, only
+    the first — the *leader* — starts the expensive computation; followers
+    share its :class:`concurrent.futures.Future`.  This is the
+    thundering-herd fix: N concurrent misses on one key cost one
+    optimization, not N.  A follower may block on the future or await it
+    from an event loop (``asyncio.wrap_future``) without holding a thread.
 
     The value shared through a flight must be *instance-independent* (the plan
     service shares canonical cache positions, never a plan bound to the
-    leader's problem object).  A leader failure is propagated to every
-    follower as a :class:`~repro.exceptions.ServingError` carrying the
-    leader's message; the flight is always cleared, so the next request
-    retries fresh.
+    leader's problem object).  A leader failure reaches every follower as a
+    :class:`~repro.exceptions.ServingError` carrying the leader's message
+    (:meth:`follower_error`); the flight is cleared when its future
+    resolves, so the next request retries fresh.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._calls: dict[str, _InFlightCall] = {}  # guarded-by: _lock
 
-    def do(self, key: str, compute: Callable[[], object]) -> tuple[object, bool]:
-        """Run ``compute`` once per concurrent burst of callers of ``key``.
+    def join(self, key: str, start: Callable[[], Future]) -> tuple[Future, bool]:
+        """Join ``key``'s flight: ``(its future, whether the caller leads it)``.
 
-        Returns ``(value, leader)``; ``leader`` tells the caller whether it
-        executed ``compute`` itself (counted as a cold optimization) or rode
-        along on another thread's flight (a coalesced request).
+        The first caller of a burst leads: ``start()`` — called under the
+        flight lock, so it must only *start* the work — returns the future
+        every caller of the burst shares.
         """
         with self._lock:
             call = self._calls.get(key)
-            leader = call is None
-            if leader:
-                call = _InFlightCall()
-                self._calls[key] = call
-            else:
+            if call is not None:
                 call.waiters += 1
+                return call.future, False
+            call = self._calls[key] = _InFlightCall(start())
+        call.future.add_done_callback(lambda _: self._land(key, call))
+        return call.future, True
+
+    def _land(self, key: str, call: _InFlightCall) -> None:
+        with self._lock:
+            if self._calls.get(key) is call:
+                del self._calls[key]
+
+    @staticmethod
+    def follower_error(error: BaseException) -> ServingError:
+        """What a follower raises when the flight it rode on failed."""
+        return ServingError(f"coalesced optimization failed: {type(error).__name__}: {error}")
+
+    def do(self, key: str, compute: Callable[[], object]) -> tuple[object, bool]:
+        """Run ``compute`` once per concurrent burst of callers of ``key``.
+
+        Blocking: the leader runs ``compute`` on its own thread and followers
+        wait for it.  Returns ``(value, leader)``; ``leader`` tells the
+        caller whether it executed ``compute`` itself or rode along on
+        another caller's flight.  The leader sees its own error, followers
+        :meth:`follower_error`.
+        """
+        future, leader = self.join(key, _running_future)
         if leader:
             try:
-                call.result = compute()
-            except BaseException as error:
-                call.error = f"{type(error).__name__}: {error}"
-                raise
-            finally:
-                with self._lock:
-                    self._calls.pop(key, None)
-                call.done.set()
-            return call.result, True
-        call.done.wait()
-        if call.error is not None:
-            raise ServingError(f"coalesced optimization failed: {call.error}")
-        return call.result, False
+                future.set_result(compute())
+            except BaseException as error:  # noqa: BLE001 - re-raised by result()
+                future.set_exception(error)
+            return future.result(), True
+        try:
+            return future.result(), False
+        except Exception as error:
+            raise self.follower_error(error) from None
 
     def in_flight(self) -> int:
         """Number of keys currently being computed (for stats/tests)."""

@@ -15,16 +15,27 @@ instances; the service answers each with a :class:`PlanResponse`, combining
   N concurrent misses on one fingerprint trigger exactly one optimization;
   the N-1 followers wait for the leader's answer instead of stampeding the
   portfolio (the classic thundering-herd fix), and
-* **admission control** — at most ``max_in_flight`` requests optimize
-  concurrently, at most ``queue_depth`` more may wait; anything beyond is
-  rejected with :class:`~repro.exceptions.AdmissionError` so overload degrades
-  crisply instead of queueing unboundedly.
+* **admission control** — at most ``max_in_flight + queue_depth`` requests
+  are pending at once; anything beyond is rejected with
+  :class:`~repro.exceptions.AdmissionError` so overload degrades crisply
+  instead of queueing unboundedly.
 
 Besides the one-at-a-time :meth:`PlanService.submit`, the service answers
 whole batches through :meth:`PlanService.optimize_batch`: the batch is
 admitted as one unit, answered from the cache where possible, and the misses
 are deduplicated by fingerprint so each unique problem is optimized once —
 the bulk-compilation mirror of the single-flight contract.
+
+Each request runs one code path, written as *steps*: a generator that does
+the cache work inline and, on the awaitable surface
+(:meth:`PlanService.submit_async`, :meth:`PlanService.optimize_batch_async`),
+yields a :class:`concurrent.futures.Future` when it needs a cold
+optimization — the leader's runs on the service's optimizer pool, and
+single-flight followers get the leader's future — so a cache hit is
+answered inline on the event loop and a miss holds no thread while it
+waits.  The blocking surface (:meth:`PlanService.submit`,
+:meth:`PlanService.optimize_batch`) runs the same steps on the caller's
+thread, which optimizes (or waits for its flight's leader) itself.
 
 Every answer is measured (:mod:`repro.serving.metrics`); :meth:`PlanService.stats`
 exposes the whole picture — cache counters, per-source latency quantiles,
@@ -34,11 +45,14 @@ HTTP endpoint (:mod:`repro.serving.http`) serves.
 
 from __future__ import annotations
 
+import asyncio
 import concurrent.futures
+import contextlib
+import contextvars
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 from repro.core.evaluation import enable_kernel_profiling, kernel_profile
 from repro.core.problem import OrderingProblem
@@ -121,10 +135,13 @@ class PlanServiceConfig:
     pointing at one directory share warm plans."""
 
     max_in_flight: int = 8
-    """Requests optimizing concurrently before new arrivals start queueing."""
+    """Size of the optimizer pool that runs awaited cold optimizations
+    (further misses queue for a worker); with ``queue_depth`` it also sets
+    the admission bound."""
 
     queue_depth: int = 64
-    """Requests allowed to wait for a slot before admission control rejects."""
+    """Requests allowed to be pending beyond ``max_in_flight`` before
+    admission control rejects."""
 
     revalidation_workers: int = 2
     """Threads (or pool worker processes) refreshing stale/drifted cache
@@ -303,7 +320,10 @@ class PlanService:
             max_workers=max(2 * len(self.config.algorithms), self.config.max_in_flight),
         )
         self._single_flight = SingleFlight()
-        self._slots = threading.Semaphore(self.config.max_in_flight)
+        # Awaited cold optimizations run here, at most max_in_flight at a time.
+        self._optimizer = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.config.max_in_flight, thread_name_prefix="plan-optimize"
+        )
         self._pending = 0
         self._pending_lock = threading.Lock()
         self._revalidator = concurrent.futures.ThreadPoolExecutor(
@@ -320,6 +340,7 @@ class PlanService:
     def close(self) -> None:
         """Stop background refresh work and release the portfolio's threads."""
         self._closed.set()
+        self._optimizer.shutdown(wait=False)
         self._revalidator.shutdown(wait=False, cancel_futures=True)
         self._portfolio.close()
         with self._refresh_pool_lock:
@@ -350,23 +371,23 @@ class PlanService:
         over capacity and :class:`~repro.exceptions.ServingError` after
         :meth:`close`.
         """
-        if self._closed.is_set():
-            raise ServingError("the plan service has been closed")
-        self._admit()
-        try:
-            with trace_span("service.submit"):
-                # The queue span exists only when the request actually waited:
-                # the unqueued fast path stays span-free and hot.
-                if not self._slots.acquire(blocking=False):
-                    with trace_span("service.queue"):
-                        self._slots.acquire()
-                try:
-                    return self._answer(problem, budget_seconds, fingerprint)
-                finally:
-                    self._slots.release()
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
+        with self._admitted("service.submit"):
+            return _run(self._answer(problem, budget_seconds, fingerprint))
+
+    async def submit_async(
+        self,
+        problem: OrderingProblem,
+        budget_seconds: float | None = None,
+        fingerprint: ProblemFingerprint | None = None,
+    ) -> PlanResponse:
+        """Awaitable :meth:`submit`: the same request steps on the caller's loop.
+
+        A cache hit is answered inline; a miss awaits its optimization's
+        future (or its flight leader's) without holding a thread.
+        """
+        with self._admitted("service.submit"):
+            steps = self._answer(problem, budget_seconds, fingerprint, blocking=False)
+            return await _run_async(steps)
 
     def submit_batch(self, problems: Sequence[OrderingProblem]) -> list[PlanResponse]:
         """Answer several requests, preserving order (each admitted separately)."""
@@ -394,27 +415,19 @@ class PlanService:
         the re-hash for callers that already fingerprinted the batch.  Raises
         on the first failing optimization; order is preserved.
         """
-        if self._closed.is_set():
-            raise ServingError("the plan service has been closed")
-        if not problems:
-            return []
-        if fingerprints is not None and len(fingerprints) != len(problems):
-            raise ServingError(
-                f"got {len(fingerprints)} fingerprints for {len(problems)} problems"
-            )
-        self._admit()
-        try:
-            with trace_span("service.batch", size=len(problems)):
-                if not self._slots.acquire(blocking=False):
-                    with trace_span("service.queue"):
-                        self._slots.acquire()
-                try:
-                    return self._answer_batch(problems, budget_seconds, fingerprints)
-                finally:
-                    self._slots.release()
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
+        with self._admitted("service.batch", size=len(problems)):
+            return _run(self._answer_batch(problems, budget_seconds, fingerprints))
+
+    async def optimize_batch_async(
+        self,
+        problems: Sequence[OrderingProblem],
+        budget_seconds: float | None = None,
+        fingerprints: Sequence[ProblemFingerprint] | None = None,
+    ) -> list[PlanResponse]:
+        """Awaitable :meth:`optimize_batch` (the same steps, awaited on the loop)."""
+        with self._admitted("service.batch", size=len(problems)):
+            steps = self._answer_batch(problems, budget_seconds, fingerprints, blocking=False)
+            return await _run_async(steps)
 
     def warm(self, problems: Iterable[OrderingProblem]) -> int:
         """Pre-populate the cache (bypasses admission control); returns the count."""
@@ -506,12 +519,27 @@ class PlanService:
                 )
             self._pending += 1
 
+    @contextlib.contextmanager
+    def _admitted(self, span_name: str, **annotations: object):
+        """Admission control and the request span around one request or batch."""
+        if self._closed.is_set():
+            raise ServingError("the plan service has been closed")
+        self._admit()
+        try:
+            with trace_span(span_name, **annotations):
+                yield
+        finally:
+            with self._pending_lock:
+                self._pending -= 1
+
     def _answer(
         self,
         problem: OrderingProblem,
         budget_seconds: float | None,
         fingerprint: ProblemFingerprint | None = None,
-    ) -> PlanResponse:
+        blocking: bool = True,
+    ) -> Generator[concurrent.futures.Future, object, PlanResponse]:
+        """One request's steps (see the module docstring)."""
         stopwatch = Stopwatch().start()
         if fingerprint is None:
             fingerprint = fingerprint_problem(problem, self.config.fingerprint_precision)
@@ -521,8 +549,8 @@ class PlanService:
                 return cached
 
         try:
-            positions, algorithm, optimal, leader = self._optimize_cold(
-                problem, budget_seconds, fingerprint
+            positions, algorithm, optimal, leader = yield from self._optimize_cold(
+                problem, budget_seconds, fingerprint, blocking
             )
         except ReproError:
             self.metrics.record_failure()
@@ -591,8 +619,11 @@ class PlanService:
         problem: OrderingProblem,
         budget_seconds: float | None,
         fingerprint: ProblemFingerprint,
-    ) -> tuple[tuple[int, ...], str, bool, bool]:
-        """Optimize a miss, coalescing concurrent misses on the same fingerprint.
+        blocking: bool,
+    ) -> Generator[concurrent.futures.Future, object, tuple[tuple[int, ...], str, bool, bool]]:
+        """Steps of a miss, coalescing concurrent misses on the same
+        fingerprint onto one flight: awaitable steps yield the optimization's
+        future (the leader's runs on the optimizer pool).
 
         Returns ``(canonical positions, algorithm, optimal, leader)``.  The
         flight shares canonical *positions* rather than a result object: each
@@ -605,10 +636,33 @@ class PlanService:
             result = self._optimize_and_cache(problem, budget_seconds, fingerprint)
             return (fingerprint.to_positions(result.order), result.algorithm, result.optimal)
 
+        def start() -> concurrent.futures.Future:
+            # The copied context carries this request's trace onto the pool.
+            context = contextvars.copy_context()
+            try:
+                return self._optimizer.submit(context.run, compute)
+            except RuntimeError:  # the pool shut down after this request was admitted
+                raise ServingError("the plan service has been closed") from None
+
         with trace_span("optimize.cold") as span:
-            if not self.config.cache_enabled:
-                return (*compute(), True)
-            value, leader = self._single_flight.do(fingerprint.key, compute)
+            if blocking:
+                # A blocking caller already holds a thread: it optimizes (or,
+                # as a follower, waits) on that thread and never yields.
+                if not self.config.cache_enabled:
+                    value, leader = compute(), True
+                else:
+                    value, leader = self._single_flight.do(fingerprint.key, compute)
+            else:
+                if not self.config.cache_enabled:
+                    future, leader = start(), True
+                else:
+                    future, leader = self._single_flight.join(fingerprint.key, start)
+                try:
+                    value = yield future
+                except Exception as error:
+                    if leader:
+                        raise
+                    raise SingleFlight.follower_error(error) from None
             span.annotate(coalesced=not leader)
         positions, algorithm, optimal = value  # type: ignore[misc]
         return (positions, algorithm, optimal, leader)
@@ -618,7 +672,13 @@ class PlanService:
         problems: Sequence[OrderingProblem],
         budget_seconds: float | None,
         fingerprints: Sequence[ProblemFingerprint] | None = None,
-    ) -> list[PlanResponse]:
+        blocking: bool = True,
+    ) -> Generator[concurrent.futures.Future, object, list[PlanResponse]]:
+        """One batch's steps: every unique miss yields one optimization future."""
+        if fingerprints is not None and len(fingerprints) != len(problems):
+            raise ServingError(
+                f"got {len(fingerprints)} fingerprints for {len(problems)} problems"
+            )
         responses: list[PlanResponse | None] = [None] * len(problems)
         if fingerprints is None:
             fingerprints = [
@@ -653,8 +713,8 @@ class PlanService:
             leader_index = indices[0]
             stopwatch = Stopwatch().start()
             try:
-                positions, algorithm, optimal, leader = self._optimize_cold(
-                    problems[leader_index], budget_seconds, fingerprints[leader_index]
+                positions, algorithm, optimal, leader = yield from self._optimize_cold(
+                    problems[leader_index], budget_seconds, fingerprints[leader_index], blocking
                 )
             except ReproError:
                 self.metrics.record_failure()
@@ -778,3 +838,32 @@ class PlanService:
                     context=self.config.mp_context,
                 )
             return self._refresh_pool
+
+
+def _run(steps: Generator) -> object:
+    """The answer of blocking steps, which never yield: their misses run on
+    the caller's own thread."""
+    try:
+        next(steps)
+    except StopIteration as finished:
+        return finished.value
+    raise AssertionError("blocking request steps yielded a future")
+
+
+async def _run_async(steps: Generator) -> object:
+    """:func:`_run` for an event loop: each future is awaited, not blocked on."""
+    try:
+        future = next(steps)
+        while True:
+            try:
+                # shield: a cancelled request must not cancel an optimization
+                # its flight's other requests still wait for.
+                outcome = await asyncio.shield(asyncio.wrap_future(future))
+            except Exception as error:  # noqa: BLE001 - handed back to the steps
+                future = steps.throw(error)
+            else:
+                future = steps.send(outcome)
+    except StopIteration as finished:
+        return finished.value
+    finally:
+        steps.close()

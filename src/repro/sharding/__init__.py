@@ -15,8 +15,7 @@ serving stack horizontally:
   shards use N cores,
 * :mod:`repro.sharding.multiplexer` — :class:`ResponseMultiplexer`, the one
   selector loop correlating every process shard's answers (N shards cost one
-  thread, not N reader threads), shared by the sync router and the asyncio
-  front end,
+  thread, not N reader threads),
 
 with warm plans optionally shared between shards through a
 :class:`~repro.serving.store.SharedStore` (``shared_cache_dir``), so a key

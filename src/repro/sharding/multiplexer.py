@@ -9,11 +9,9 @@ all registered shards' response pipes at once
 file descriptors) and dispatches each ``(request_id, ok, payload)`` answer to
 the owning shard's correlation callback.
 
-The multiplexer is deliberately front-end-agnostic: the synchronous
-:class:`~repro.sharding.router.ShardRouter` and the asyncio front end
-(:mod:`repro.serving.aserver`) drive the same shards, so they share the same
-process-wide multiplexer (:func:`default_multiplexer`) — shard count scales
-without the thread count following it.
+Every router and standalone shard in a process shares the same process-wide
+multiplexer (:func:`default_multiplexer`) — shard count scales without the
+thread count following it.
 
 Registration is keyed by small :class:`_Port` handles: a shard registers its
 response queue plus three callbacks (``on_message`` for answers, ``alive``
@@ -25,11 +23,11 @@ reader threads guaranteed.  The sweep timer only runs while at least one
 shard is registered: an idle multiplexer parks in the selector without a
 timeout and wakes on the self-pipe, costing zero scheduled wake-ups.
 
-The shard-side completion callbacks may be *loop-aware*
-(:class:`repro.sharding.process.ProcessShard` registers waiters that resolve
-``asyncio`` futures via ``loop.call_soon_threadsafe``); the multiplexer
-itself stays agnostic — it calls ``on_message`` on its own thread and the
-waiter decides whether to signal a blocking event or an event-loop future.
+The multiplexer stays agnostic of who waits: it calls ``on_message`` on its
+own thread, and :class:`repro.sharding.process.ProcessShard` resolves the
+request's :class:`concurrent.futures.Future` — which wakes a blocked caller,
+or (through ``asyncio.wrap_future``) schedules the answer onto the awaiting
+event loop.
 """
 
 from __future__ import annotations

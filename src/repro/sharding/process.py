@@ -9,15 +9,15 @@ service — cache, portfolio, admission control — into its own OS process:
   carries the optimizer pool's traffic), and answers come back as the flat
   primitive documents of :func:`repro.serving.http.response_to_dict` — no
   pickled object graphs in either direction;
-* inside the child, each request is handled on an executor thread, so one
-  shard process serves concurrent submissions exactly like the threaded
-  service does (admission control included);
-* the parent side multiplexes: any number of router threads may call
-  :meth:`ProcessShard.submit` / :meth:`ProcessShard.optimize_batch`
-  concurrently — answers are correlated to waiters by request id through the
+* inside the child, each request is handled on an executor thread through
+  the service's blocking surface, so one shard process serves concurrent
+  submissions (admission control included);
+* the parent side multiplexes: every request registers one waiter — a
+  :class:`concurrent.futures.Future` keyed by request id — and the
   process-wide :class:`~repro.sharding.multiplexer.ResponseMultiplexer`, one
-  selector thread over *all* shards' response pipes rather than one parked
-  reader thread per shard.
+  selector thread over *all* shards' response pipes, resolves it.  Blocking
+  callers (:meth:`ProcessShard.submit`) wait on that future; event-loop
+  callers (:meth:`ProcessShard.submit_async`) await it.
 
 Shard-side failures are re-raised in the parent with their original type
 where it matters (:class:`~repro.exceptions.AdmissionError` must keep
@@ -27,8 +27,10 @@ meaning HTTP 503); a shard process dying fails its in-flight requests with
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Sequence
 
 from repro.core.problem import OrderingProblem
@@ -50,9 +52,6 @@ __all__ = ["ProcessShard"]
 
 _SHUTDOWN = None
 """Sentinel the shard child interprets as 'drain and exit'."""
-
-_POLL_SECONDS = 0.25
-"""Grace added to close() joins (one multiplexer poll interval)."""
 
 _ERROR_TYPES = {
     "AdmissionError": AdmissionError,
@@ -80,125 +79,73 @@ def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id
     # grandchildren are daemonic themselves.
     multiprocessing.current_process()._config["daemon"] = False
     service = PlanService(config)
+    # Each request is answered on its own executor thread through the
+    # service's blocking surface: a miss optimizes right on that thread, so
+    # no answer waits for a hand-off while the portfolio's racers hold the GIL.
     executor = ThreadPoolExecutor(
         max_workers=config.max_in_flight + 2, thread_name_prefix="shard-request"
     )
-
-    def answer_one(kind: str, item: tuple):
-        if kind == "submit":
-            payload, budget = item[2], item[3]
-            response = service.submit(problem_from_wire(payload), budget_seconds=budget)
-            return response_to_dict(response)
-        if kind == "batch":
-            payloads, budget = item[2], item[3]
-            problems = [problem_from_wire(payload) for payload in payloads]
-            return [
-                response_to_dict(response)
-                for response in service.optimize_batch(problems, budget_seconds=budget)
-            ]
-        if kind == "stats":
-            return service.stats()
-        if kind == "keys":
-            return service.cache.keys()
-        raise ShardingError(f"unknown shard operation {kind!r}")
-
-    def handle(item) -> None:
-        kind, request_id, trace = item[0], item[1], item[-1]
-        spans: list = []
-        try:
-            if trace is None:
-                answer = answer_one(kind, item)
-            else:
-                # Re-enter the caller's trace: everything the service does in
-                # this process lands under one shard.<kind> span, and the
-                # finished spans ship back with the answer for stitching.
-                with activate_trace(trace[0], parent_id=trace[1]) as active:
-                    try:
-                        with trace_span("shard." + kind, shard=shard_id):
-                            answer = answer_one(kind, item)
-                    finally:
-                        spans = [
-                            span.to_dict() if isinstance(span, Span) else dict(span)
-                            for span in active.spans
-                        ]
-        except ReproError as error:
-            responses.put((request_id, False, (type(error).__name__, str(error)), spans))
-        except Exception as error:  # noqa: BLE001 - a lost answer hangs the parent
-            # Anything escaping here (e.g. a TypeError from rejected
-            # algorithm options) must still produce a response: the parent's
-            # waiter has no timeout and the process stays alive, so a
-            # swallowed exception would hang the router thread forever.
-            responses.put(
-                (request_id, False, ("ShardingError", f"{type(error).__name__}: {error}"), spans)
-            )
-        else:
-            responses.put((request_id, True, answer, spans))
-
-    while True:
-        item = requests.get()
-        if item is _SHUTDOWN or item is None:
-            break
-        executor.submit(handle, item)
+    while (item := requests.get()) is not _SHUTDOWN:
+        executor.submit(_handle, item, responses, service, shard_id)
     executor.shutdown(wait=True)
     service.close()
 
 
-class _Waiter:
-    """One parent-side caller blocked on a shard answer.
+def _handle(item: tuple, responses, service: PlanService, shard_id: str) -> None:
+    """Answer one request; every outcome, failures included, goes back."""
+    kind, request_id, trace = item[0], item[1], item[-1]
+    spans: list = []
+    try:
+        if trace is None:
+            answer = _answer(service, kind, item)
+        else:
+            # Re-enter the caller's trace: everything the service does for
+            # this request lands under one shard.<kind> span, and the
+            # finished spans ship back with the answer for stitching.
+            with activate_trace(trace[0], parent_id=trace[1]) as active:
+                try:
+                    with trace_span("shard." + kind, shard=shard_id):
+                        answer = _answer(service, kind, item)
+                finally:
+                    spans = [
+                        span.to_dict() if isinstance(span, Span) else dict(span)
+                        for span in active.spans
+                    ]
+    except ReproError as error:
+        responses.put((request_id, False, (type(error).__name__, str(error)), spans))
+    except Exception as error:  # noqa: BLE001 - a lost answer hangs the parent
+        # Anything escaping here (e.g. a TypeError from rejected algorithm
+        # options) must still produce a response: the parent's waiter has no
+        # timeout and the process stays alive, so a swallowed exception
+        # would leave the caller waiting forever.
+        responses.put(
+            (request_id, False, ("ShardingError", f"{type(error).__name__}: {error}"), spans)
+        )
+    else:
+        responses.put((request_id, True, answer, spans))
 
-    The waiter protocol is two methods: :meth:`complete` is invoked exactly
-    once — by the multiplexer's dispatch, by the death sweep, or by
-    :meth:`ProcessShard.close` — with the answer triple, and :meth:`wait`
-    blocks the calling thread until then.  :class:`_AsyncWaiter` implements
-    the same ``complete`` contract against an event-loop future, which is
-    what lets the multiplexer resolve asyncio callers without knowing about
-    event loops.
-    """
 
-    __slots__ = ("done", "ok", "payload", "spans")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.ok = False
-        self.payload: object = None
-        self.spans: list = []
-
-    def complete(self, ok: bool, payload: object, spans: list) -> None:
-        self.ok = ok
-        self.payload = payload
-        self.spans = spans
-        self.done.set()
-
-    def wait(self) -> tuple[bool, object, list]:
-        self.done.wait()
-        return self.ok, self.payload, self.spans
+def _answer(service: PlanService, kind: str, item: tuple):
+    if kind == "submit":
+        payload, budget = item[2], item[3]
+        response = service.submit(problem_from_wire(payload), budget_seconds=budget)
+        return response_to_dict(response)
+    if kind == "batch":
+        payloads, budget = item[2], item[3]
+        problems = [problem_from_wire(payload) for payload in payloads]
+        answered = service.optimize_batch(problems, budget_seconds=budget)
+        return [response_to_dict(response) for response in answered]
+    if kind == "stats":
+        return service.stats()
+    if kind == "keys":
+        return service.cache.keys()
+    raise ShardingError(f"unknown shard operation {kind!r}")
 
 
-class _AsyncWaiter:
-    """A loop-aware waiter: completion resolves an :mod:`asyncio` future.
-
-    Created on the event loop (:meth:`ProcessShard._call_async`); completed
-    from the multiplexer thread (answer or death sweep) or whatever thread
-    runs :meth:`ProcessShard.close` — always via ``call_soon_threadsafe``,
-    so the future's result lands on its own loop without a bridge thread.
-    A future already cancelled (deadline) or resolved is left untouched.
-    """
-
-    __slots__ = ("loop", "future")
-
-    def __init__(self, loop, future) -> None:
-        self.loop = loop
-        self.future = future
-
-    def complete(self, ok: bool, payload: object, spans: list) -> None:
-        try:
-            self.loop.call_soon_threadsafe(self._resolve, ok, payload, spans)
-        except RuntimeError:  # pragma: no cover - the loop closed mid-flight
-            pass
-
-    def _resolve(self, ok: bool, payload: object, spans: list) -> None:
-        if not self.future.done():
-            self.future.set_result((ok, payload, spans))
+def _resolve(waiter: Future, outcome: tuple) -> None:
+    """Complete a waiter with ``(ok, payload, spans)`` unless its caller gave up."""
+    if waiter.set_running_or_notify_cancel():
+        waiter.set_result(outcome)
 
 
 class ProcessShard:
@@ -229,7 +176,7 @@ class ProcessShard:
         self._process.start()
         self._lock = threading.Lock()
         self._next_request_id = 0
-        self._waiters: dict[int, _Waiter] = {}
+        self._waiters: dict[int, Future] = {}
         self._closed = threading.Event()
         self.multiplexer = multiplexer if multiplexer is not None else default_multiplexer()
         self._port = self.multiplexer.register(
@@ -270,12 +217,7 @@ class ProcessShard:
         budget_seconds: float | None = None,
         fingerprint: object | None = None,
     ) -> PlanResponse:
-        """Awaitable :meth:`submit`: the answer resolves on the event loop.
-
-        No bridge thread is involved anywhere on the path — the request goes
-        onto the shard's queue from this coroutine, and the multiplexer's
-        dispatch completes the future via ``call_soon_threadsafe``.
-        """
+        """Awaitable :meth:`submit`: the same waiter, awaited on the event loop."""
         document = await self._call_async(("submit", problem_to_wire(problem), budget_seconds))
         return response_from_dict(document)
 
@@ -320,79 +262,74 @@ class ProcessShard:
 
     # -- internals ---------------------------------------------------------
 
-    def _send(self, operation: tuple, waiter) -> int:
-        """Register ``waiter`` and enqueue one operation; returns its id."""
+    def _send(self, operation: tuple) -> Future:
+        """Register a waiter and enqueue one operation.
+
+        The waiter resolves to the child's ``(ok, payload, spans)`` answer —
+        from the multiplexer's dispatch, the death sweep, or :meth:`close`.
+        """
         if self._closed.is_set():
             raise ShardingError(f"shard {self.shard_id!r} has been closed")
+        waiter: Future = Future()
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
             self._waiters[request_id] = waiter
+        # A caller that gives up (a cancelled await) drops its waiter at once,
+        # so the shard's late answer is discarded instead of routed.
+        waiter.add_done_callback(functools.partial(self._forget, request_id))
         kind, *rest = operation
         # The trace rides as the operation's last element; the child re-enters
-        # it and ships its spans back on the waiter.  On the async path the
+        # it and ships its spans back with the answer.  On the async path the
         # coroutine runs inside the caller's activation (contextvars flow into
         # tasks), so the same read works for both.
         self._requests.put((kind, request_id, *rest, current_trace()))
-        return request_id
+        return waiter
 
-    def _result(self, ok: bool, payload: object, spans: list):
+    def _forget(self, request_id: int, waiter: Future) -> None:
+        if waiter.cancelled():
+            with self._lock:
+                self._waiters.pop(request_id, None)
+
+    def _result(self, outcome: tuple):
         """Fold shipped spans back and unwrap one answer (typed re-raise)."""
+        ok, payload, spans = outcome
         if spans:
             emit_spans(spans)
         if ok:
             return payload
-        error_type, message = payload  # type: ignore[misc]
+        error_type, message = payload
         raise _ERROR_TYPES.get(error_type, ShardingError)(
             f"shard {self.shard_id!r}: {message}"
         )
 
     def _call(self, operation: tuple):
         """Send one operation to the shard and block for its answer."""
-        waiter = _Waiter()
-        self._send(operation, waiter)
-        return self._result(*waiter.wait())
+        return self._result(self._send(operation).result())
 
     async def _call_async(self, operation: tuple):
-        """Send one operation and await its answer as an event-loop future."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        waiter = _AsyncWaiter(loop, future)
-        request_id = self._send(operation, waiter)
-        try:
-            ok, payload, spans = await future
-        except asyncio.CancelledError:
-            # A cancelled caller (deadline, connection teardown) must not
-            # leave its waiter registered: the shard's late answer would be
-            # routed to a dead future.  complete() on the popped waiter is a
-            # no-op because the future is already cancelled.
-            with self._lock:
-                self._waiters.pop(request_id, None)
-            raise
-        return self._result(ok, payload, spans)
+        """Send one operation and await its answer on the event loop."""
+        return self._result(await asyncio.wrap_future(self._send(operation)))
 
     def _dispatch(self, item: tuple) -> None:
         """Multiplexer callback: route one shard answer to its waiter."""
         request_id, ok, payload, *extra = item
         with self._lock:
             waiter = self._waiters.pop(request_id, None)
-        if waiter is None:
-            return
-        waiter.complete(ok, payload, extra[0] if extra else [])
+        if waiter is not None:
+            _resolve(waiter, (ok, payload, extra[0] if extra else []))
 
     def _on_death(self) -> None:
         """Multiplexer callback: the shard process died with nothing buffered.
 
         Swept at the poll cadence until :meth:`close` unregisters the port,
-        so ``_call`` registrations racing the death are failed too instead of
-        hanging forever.
+        so registrations racing the death are failed too instead of hanging
+        forever.
         """
         self._fail_waiters(f"shard process died (exit code {self._process.exitcode})")
 
     def _fail_waiters(self, message: str) -> None:
         with self._lock:
-            waiters, self._waiters = dict(self._waiters), {}
+            waiters, self._waiters = self._waiters, {}
         for waiter in waiters.values():
-            waiter.complete(False, ("ShardingError", message), [])
+            _resolve(waiter, (False, ("ShardingError", message), []))

@@ -2,16 +2,18 @@
 
 The router is the seam the scale-out architecture plugs into: it exposes the
 same duck-typed surface as a single :class:`~repro.serving.service.PlanService`
-(``submit`` / ``optimize_batch`` / ``stats`` / ``close``), so the HTTP front
-end and the CLI bind to either interchangeably, while behind it
+(``submit_async`` / ``optimize_batch_async`` / ``stats`` / ``close``, plus
+blocking ``submit`` / ``optimize_batch`` for library callers), so the HTTP
+front end and the CLI bind to either interchangeably, while behind it
 
 * every request is **routed by fingerprint key** over a consistent-hash ring
   (:mod:`repro.sharding.ring`) — structurally identical problems always land
   on the same shard, so each shard's cache and single-flight keep their full
   effectiveness and no plan is optimized on two shards;
-* **batches are split per shard** and fanned out concurrently, each sub-batch
-  answered through the shard's own bulk path (one admission, per-batch
-  fingerprint dedup), and the responses re-merged in request order;
+* **batches are split per shard** and fanned out concurrently with
+  :func:`asyncio.gather`, each sub-batch answered through the shard's own
+  bulk path (one admission, per-batch fingerprint dedup), and the responses
+  re-merged in request order;
 * shards are **in-proc** (`backend="inproc"`: N services in this process —
   routing structure and cache isolation, one GIL) or **processes**
   (`backend="processes"`: each shard is its own OS process behind the wire
@@ -28,13 +30,12 @@ import asyncio
 import dataclasses
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.problem import OrderingProblem
 from repro.exceptions import ShardingError
-from repro.obs import Observability, ObservabilityConfig, capture, trace_span
+from repro.obs import Observability, ObservabilityConfig, trace_span
 from repro.serving.fingerprint import fingerprint_problem
 from repro.serving.service import PlanResponse, PlanService, PlanServiceConfig
 from repro.serving.store import SharedStore
@@ -83,40 +84,12 @@ class ShardRouterConfig:
             )
 
 
-class _InProcShard:
-    """A shard living in the router's own process."""
-
-    def __init__(self, shard_id: str, config: ShardRouterConfig) -> None:
-        self.shard_id = shard_id
-        store = (
-            SharedStore(
-                config.shared_cache_dir, capacity=config.service_config.cache_capacity
-            )
-            if config.shared_cache_dir is not None
-            else None
-        )
-        self.service = PlanService(config.service_config, cache_store=store)
-
-    def submit(self, problem, budget_seconds=None, fingerprint=None) -> PlanResponse:
-        return self.service.submit(
-            problem, budget_seconds=budget_seconds, fingerprint=fingerprint
-        )
-
-    def optimize_batch(
-        self, problems, budget_seconds=None, fingerprints=None
-    ) -> list[PlanResponse]:
-        return self.service.optimize_batch(
-            problems, budget_seconds=budget_seconds, fingerprints=fingerprints
-        )
-
-    def stats(self) -> dict[str, object]:
-        return self.service.stats()
+class _InProcShard(PlanService):
+    """A shard living in the router's own process: a plan service that
+    lists its cached keys like a :class:`ProcessShard` does."""
 
     def cache_keys(self) -> list[str]:
-        return self.service.cache.keys()
-
-    def close(self) -> None:
-        self.service.close()
+        return self.cache.keys()
 
 
 class ShardRouter:
@@ -157,9 +130,6 @@ class ShardRouter:
             for shard in self._shards.values():
                 shard.close()
             raise
-        self._fanout = ThreadPoolExecutor(
-            max_workers=max(4, 2 * self.config.shards), thread_name_prefix="shard-fanout"
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -168,7 +138,6 @@ class ShardRouter:
         if self._closed.is_set():
             return
         self._closed.set()
-        self._fanout.shutdown(wait=False, cancel_futures=True)
         with self._lock:
             shards = list(self._shards.values())
         for shard in shards:
@@ -242,105 +211,74 @@ class ShardRouter:
                 mp_context=service_config.mp_context,
                 multiplexer=self._multiplexer,
             )
-        return _InProcShard(shard_id, self.config)
+        store = (
+            SharedStore(
+                self.config.shared_cache_dir,
+                capacity=self.config.service_config.cache_capacity,
+            )
+            if self.config.shared_cache_dir is not None
+            else None
+        )
+        return _InProcShard(self.config.service_config, cache_store=store)
 
     # -- serving surface (duck-typed like PlanService) ---------------------
+
+    def _route(self, problem: OrderingProblem, span):
+        """The shard owning ``problem``'s fingerprint, and that fingerprint.
+
+        The fingerprint travels along so an in-proc shard's service skips the
+        re-hash (a process shard recomputes in its own process).
+        """
+        if self._closed.is_set():
+            raise ShardingError("the shard router has been closed")
+        fingerprint = fingerprint_problem(
+            problem, self.config.service_config.fingerprint_precision
+        )
+        with self._lock:
+            shard_id = self._ring.node_for(fingerprint.key)
+            shard = self._shards[shard_id]
+        span.annotate(shard=shard_id)
+        self._routed.inc(shard=shard_id)
+        return shard, fingerprint
 
     def submit(
         self, problem: OrderingProblem, budget_seconds: float | None = None
     ) -> PlanResponse:
-        """Answer one request on the shard owning the problem's fingerprint."""
-        if self._closed.is_set():
-            raise ShardingError("the shard router has been closed")
+        """Answer one request on the shard owning the problem's fingerprint
+        (blocking; for library callers — the front end awaits
+        :meth:`submit_async`)."""
         with trace_span("router.submit") as span:
-            fingerprint = fingerprint_problem(
-                problem, self.config.service_config.fingerprint_precision
-            )
-            with self._lock:
-                shard_id = self._ring.node_for(fingerprint.key)
-                shard = self._shards[shard_id]
-            span.annotate(shard=shard_id)
-            self._routed.inc(shard=shard_id)
-            # The fingerprint travels along so an in-proc shard's service skips
-            # the re-hash (a process shard recomputes in its own process).
+            shard, fingerprint = self._route(problem, span)
             return shard.submit(
                 problem, budget_seconds=budget_seconds, fingerprint=fingerprint
+            )
+
+    async def submit_async(
+        self,
+        problem: OrderingProblem,
+        budget_seconds: float | None = None,
+        timeout_seconds: float | None = None,
+    ) -> PlanResponse:
+        """Awaitable :meth:`submit`: same routing, no thread held while waiting.
+
+        The coroutine runs inside the caller's trace activation (contextvars
+        flow into tasks), so the ``router.submit`` span nests under the front
+        end's ``http.request`` span.
+        """
+        with trace_span("router.submit") as span:
+            shard, fingerprint = self._route(problem, span)
+            return await self._awaited(
+                shard.submit_async(
+                    problem, budget_seconds=budget_seconds, fingerprint=fingerprint
+                ),
+                timeout_seconds,
             )
 
     def optimize_batch(
         self, problems: Sequence[OrderingProblem], budget_seconds: float | None = None
     ) -> list[PlanResponse]:
-        """Split a batch per owning shard, fan out, re-merge in request order."""
-        if self._closed.is_set():
-            raise ShardingError("the shard router has been closed")
-        if not problems:
-            return []
-        precision = self.config.service_config.fingerprint_precision
-        # Fingerprinting is O(batch) hashing work — do it before taking the
-        # lock, which only guards the ring/shard-map snapshot.
-        fingerprints = [fingerprint_problem(problem, precision) for problem in problems]
-        groups: dict[str, list[int]] = {}
-        with self._lock:
-            for index, fingerprint in enumerate(fingerprints):
-                groups.setdefault(self._ring.node_for(fingerprint.key), []).append(index)
-            shards = {shard_id: self._shards[shard_id] for shard_id in groups}
-
-        # Fanout threads don't inherit the ambient trace contextvar; hand the
-        # captured activation to each sub-batch span explicitly.
-        context = capture()
-
-        def fan_out(shard, shard_problems, shard_fingerprints, shard_id):
-            with trace_span(
-                "router.fanout", context=context, shard=shard_id, size=len(shard_problems)
-            ):
-                return shard.optimize_batch(shard_problems, budget_seconds, shard_fingerprints)
-
-        for shard_id, indices in groups.items():
-            self._routed.inc(len(indices), shard=shard_id)
-        futures = {
-            shard_id: self._fanout.submit(
-                fan_out,
-                shards[shard_id],
-                [problems[index] for index in indices],
-                [fingerprints[index] for index in indices],
-                shard_id,
-            )
-            for shard_id, indices in groups.items()
-        }
-        responses: list[PlanResponse | None] = [None] * len(problems)
-        first_error: BaseException | None = None
-        for shard_id, indices in sorted(groups.items()):
-            try:
-                shard_responses = futures[shard_id].result()
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-                continue
-            for index, response in zip(indices, shard_responses):
-                responses[index] = response
-        if first_error is not None:
-            raise first_error
-        assert all(response is not None for response in responses)
-        return responses  # type: ignore[return-value]
-
-    # -- native async surface (process shards) -----------------------------
-
-    @property
-    def supports_async(self) -> bool:
-        """Whether the native awaitable path exists: every process shard
-        completes answers as event-loop futures through the multiplexer, so
-        ``submit_async`` / ``optimize_batch_async`` never touch a bridge
-        thread.  In-proc shards run the optimization on the caller's thread
-        and have nothing to await — they stay on the blocking surface."""
-        return self.config.backend == "processes"
-
-    def _async_shard(self, shard_id: str, shard):
-        if not hasattr(shard, "submit_async"):
-            raise ShardingError(
-                f"shard {shard_id!r} ({self.config.backend} backend) has no "
-                "async submit path; use the blocking surface or process shards"
-            )
-        return shard
+        """Blocking :meth:`optimize_batch_async`, run on a private event loop."""
+        return asyncio.run(self.optimize_batch_async(problems, budget_seconds))
 
     async def _awaited(self, awaitable, timeout_seconds: float | None):
         """Run ``awaitable`` under the request deadline (3.10-compatible).
@@ -358,66 +296,36 @@ class ShardRouter:
                 f"shard answer deadline of {timeout_seconds} s exceeded"
             ) from None
 
-    async def submit_async(
-        self,
-        problem: OrderingProblem,
-        budget_seconds: float | None = None,
-        timeout_seconds: float | None = None,
-    ) -> PlanResponse:
-        """Awaitable :meth:`submit`: same routing, zero bridge threads.
-
-        The coroutine runs inside the caller's trace activation (contextvars
-        flow into tasks), so the ``router.submit`` span nests under the front
-        end's ``http.request`` span exactly like the blocking path.
-        """
-        if self._closed.is_set():
-            raise ShardingError("the shard router has been closed")
-        with trace_span("router.submit") as span:
-            fingerprint = fingerprint_problem(
-                problem, self.config.service_config.fingerprint_precision
-            )
-            with self._lock:
-                shard_id = self._ring.node_for(fingerprint.key)
-                shard = self._shards[shard_id]
-            span.annotate(shard=shard_id)
-            self._routed.inc(shard=shard_id)
-            shard = self._async_shard(shard_id, shard)
-            return await self._awaited(
-                shard.submit_async(
-                    problem, budget_seconds=budget_seconds, fingerprint=fingerprint
-                ),
-                timeout_seconds,
-            )
-
     async def optimize_batch_async(
         self,
         problems: Sequence[OrderingProblem],
         budget_seconds: float | None = None,
         timeout_seconds: float | None = None,
     ) -> list[PlanResponse]:
-        """Awaitable :meth:`optimize_batch`: per-shard fan-out via
-        :func:`asyncio.gather` on the event loop (no fan-out thread pool),
-        re-merged in request order with the same first-error semantics as the
-        blocking path (errors compared in sorted shard order)."""
+        """Split a batch per owning shard, fan out, re-merge in request order.
+
+        The per-shard sub-batches run concurrently via :func:`asyncio.gather`;
+        the first error (in sorted shard order) is raised once every
+        sub-batch has settled.
+        """
         if self._closed.is_set():
             raise ShardingError("the shard router has been closed")
         if not problems:
             return []
         precision = self.config.service_config.fingerprint_precision
+        # Fingerprinting is O(batch) hashing work — do it before taking the
+        # lock, which only guards the ring/shard-map snapshot.
         fingerprints = [fingerprint_problem(problem, precision) for problem in problems]
         groups: dict[str, list[int]] = {}
         with self._lock:
             for index, fingerprint in enumerate(fingerprints):
                 groups.setdefault(self._ring.node_for(fingerprint.key), []).append(index)
-            shards = {
-                shard_id: self._async_shard(shard_id, self._shards[shard_id])
-                for shard_id in groups
-            }
+            shards = {shard_id: self._shards[shard_id] for shard_id in groups}
 
         async def fan_out(shard, shard_problems, shard_fingerprints, shard_id):
             # Each gathered sub-call is its own task with its own copy of the
             # caller's context, so the fan-out span nests under the ambient
-            # activation without the explicit capture() the thread pool needs.
+            # activation.
             with trace_span("router.fanout", shard=shard_id, size=len(shard_problems)):
                 return await shard.optimize_batch_async(
                     shard_problems, budget_seconds, shard_fingerprints

@@ -1,13 +1,14 @@
-"""End-to-end observability: ``/metrics`` on both front ends, stitched traces.
+"""End-to-end observability: ``/metrics`` on the front end, stitched traces.
 
 The acceptance path of the subsystem: a traced request through a sharded,
 process-backed serving stack must produce *one* span tree — front end →
 router → shard process → race worker — queryable at ``GET /trace/<id>``,
-and both HTTP front ends must serve the Prometheus text exposition.
+and the HTTP front end must serve the Prometheus text exposition.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import urllib.error
 import urllib.request
@@ -17,7 +18,7 @@ import pytest
 from repro.cli import main
 from repro.obs import labelled, parse_prometheus_text
 from repro.serialization import problem_to_dict
-from repro.serving import PlanService, PlanServiceConfig, serve, serve_async
+from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.workloads import credit_card_screening
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -65,14 +66,9 @@ def _observable_config(**overrides) -> PlanServiceConfig:
 @pytest.fixture
 def traced_server():
     with PlanService(_observable_config()) as plan_service:
-        plan_server = serve(plan_service, host="127.0.0.1", port=0)
-        plan_server.serve_in_background()
-        host, port = plan_server.server_address[:2]
-        try:
+        with serve_async(plan_service, host="127.0.0.1", port=0) as handle:
+            host, port = handle.address
             yield f"http://{host}:{port}"
-        finally:
-            plan_server.shutdown()
-            plan_server.server_close()
 
 
 def _walk(node: dict, depth: int = 0):
@@ -125,7 +121,7 @@ class TestMetricsEndpoint:
         class Bare:
             pass
 
-        status, payload = dispatch_request(Bare(), "GET", "/metrics")
+        status, payload = asyncio.run(dispatch_request(Bare(), "GET", "/metrics"))
         assert status == 404
 
 
@@ -184,9 +180,8 @@ class TestShardedTracePropagation:
             shards=2, backend="processes", service_config=config
         )
         with ShardRouter(router_config) as router:
-            plan_server = serve(router, host="127.0.0.1", port=0)
-            plan_server.serve_in_background()
-            host, port = plan_server.server_address[:2]
+            handle = serve_async(router, host="127.0.0.1", port=0)
+            host, port = handle.address
             url = f"http://{host}:{port}"
             try:
                 trace_id = "cafe" * 8
@@ -246,8 +241,7 @@ class TestShardedTracePropagation:
                 )
                 assert sum(by_shard.values()) == 1
             finally:
-                plan_server.shutdown()
-                plan_server.server_close()
+                handle.close()
 
 
 class TestTopCommand:

@@ -1,10 +1,10 @@
-"""HTTP helpers shared by the threaded- and async-front-end test suites."""
+"""HTTP helpers shared by the front-end test suites."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
-import time
 import urllib.error
 import urllib.request
 
@@ -63,14 +63,14 @@ class StubBackend:
             latency_seconds=self.delay,
         )
 
-    def submit(self, problem, budget_seconds=None):
-        time.sleep(self.delay)
+    async def submit_async(self, problem, budget_seconds=None):
+        await asyncio.sleep(self.delay)
         if self.error is not None:
             raise self.error
         return self._response()
 
-    def optimize_batch(self, problems, budget_seconds=None):
-        time.sleep(self.delay)
+    async def optimize_batch_async(self, problems, budget_seconds=None):
+        await asyncio.sleep(self.delay)
         if self.error is not None:
             raise self.error
         return [self._response() for _ in problems]

@@ -1,4 +1,4 @@
-"""Tests of the asyncio front end: parity with the threaded server, slow-client
+"""Tests of the asyncio front end: the route and status contract, slow-client
 isolation, saturation behaviour, graceful shutdown (real sockets, ephemeral port)."""
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.serving import (
     PlanServiceConfig,
     serve_async,
 )
-from repro.serving.aserver import AsyncPlanServer, _admission_sized_workers
 from repro.sharding import ShardRouter, ShardRouterConfig
 from repro.workloads import credit_card_screening
 
@@ -34,7 +33,7 @@ def server():
 
 
 class TestEndpointParity:
-    """The async server answers exactly like the threaded one."""
+    """The front end answers every route with the shared status contract."""
 
     def test_post_plan_answers_with_the_plan(self, server):
         url, _ = server
@@ -128,35 +127,37 @@ class TestEndpointParity:
 
 
 class TestSaturationAndConcurrency:
-    def test_executor_sized_off_admission_control(self):
-        config = PlanServiceConfig(max_in_flight=3, queue_depth=5)
+    def test_backend_overload_answers_503_but_healthz_survives(self):
+        config = PlanServiceConfig(budget_seconds=None, max_in_flight=1, queue_depth=0)
         with PlanService(config) as service:
-            assert _admission_sized_workers(service) == 8
-            server = AsyncPlanServer(service)
-            assert server.max_workers == 8
-            server._executor.shutdown(wait=False)
-        router_config = ShardRouterConfig(shards=2, backend="inproc", service_config=config)
-        with ShardRouter(router_config) as router:
-            assert _admission_sized_workers(router) == 16
+            release = threading.Event()
+            original = service._portfolio.optimize
 
-    def test_full_bridge_pool_answers_503_but_healthz_survives(self):
-        backend = StubBackend(delay=0.6)
-        with serve_async(backend, host="127.0.0.1", port=0, max_workers=1) as handle:
-            host, port = handle.address
-            url = f"http://{host}:{port}"
-            document = problem_to_dict(credit_card_screening())
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                first = pool.submit(post_json, f"{url}/plan", document)
-                time.sleep(0.2)  # the only bridge slot is now occupied
-                status, payload = post_json(f"{url}/plan", document)
-                assert status == 503
-                assert "over capacity" in payload["error"]
-                # Liveness is answered inline on the event loop, and /stats
-                # rides its own bridge lane past the saturated plan pool.
-                assert get_json(f"{url}/healthz")[0] == 200
-                status, payload = get_json(f"{url}/stats")
-                assert status == 200 and payload == {"backend": "stub"}
-                assert first.result()[0] == 200
+            def held_optimize(problem, budget_seconds=None):
+                release.wait(timeout=10.0)
+                return original(problem, budget_seconds=budget_seconds)
+
+            service._portfolio.optimize = held_optimize
+            with serve_async(service, host="127.0.0.1", port=0) as handle:
+                host, port = handle.address
+                url = f"http://{host}:{port}"
+                document = problem_to_dict(credit_card_screening())
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    first = pool.submit(post_json, f"{url}/plan", document)
+                    limit = time.monotonic() + 5.0
+                    while service.stats()["admission"]["pending"] < 1:
+                        assert time.monotonic() < limit, "the first request never arrived"
+                        time.sleep(0.01)
+                    # The only admission slot is held: the service refuses.
+                    status, payload = post_json(f"{url}/plan", document)
+                    assert status == 503
+                    assert "over capacity" in payload["error"]
+                    # Liveness and stats never wait behind the held request.
+                    assert get_json(f"{url}/healthz")[0] == 200
+                    status, payload = get_json(f"{url}/stats")
+                    assert status == 200 and payload["admission"]["pending"] == 1
+                    release.set()
+                    assert first.result()[0] == 200
 
     def test_interleaved_plan_and_batch_against_a_router(self, make_random_problem):
         config = ShardRouterConfig(

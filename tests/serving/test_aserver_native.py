@@ -1,10 +1,11 @@
-"""Tests of the native async shard path: POSTs complete as event-loop futures.
+"""Tests of the awaitable shard path: POSTs complete as event-loop futures.
 
-A process-shard :class:`ShardRouter` exposes ``submit_async`` /
-``optimize_batch_async``; the asyncio front end detects it and answers plan
-traffic with zero bridge threads.  These tests cover detection, response
-parity with the blocking router, trace stitching through the awaitable path,
-admission semantics, and shard-process death mid-request.
+Every backend — a process-shard or in-proc :class:`ShardRouter`, a single
+:class:`PlanService` — exposes ``submit_async`` / ``optimize_batch_async``,
+and the asyncio front end awaits plan traffic with no handler thread.  These
+tests cover the async surface, response parity with the blocking router,
+trace stitching through the awaitable path, admission semantics, and
+shard-process death mid-request.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import urllib.request
 import pytest
 from serving_helpers import get_json, post_json
 
-from repro.exceptions import ShardingError
+from repro.exceptions import AdmissionError, ShardingError
 from repro.serialization import problem_to_dict
 from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.serving.http import response_to_dict
@@ -56,10 +57,8 @@ def post_traced(url: str, payload: dict, trace_id: str) -> tuple[int, dict]:
         return error.code, json.loads(error.read().decode("utf-8"))
 
 
-def bridge_thread_names() -> list[str]:
-    return [
-        t.name for t in threading.enumerate() if t.name.startswith("aserver-bridge")
-    ]
+def thread_names() -> set[str]:
+    return {thread.name for thread in threading.enumerate()}
 
 
 @pytest.fixture(scope="module")
@@ -71,29 +70,35 @@ def native_server():
 
 
 class TestNativeDetection:
-    def test_process_router_supports_async(self):
+    def test_process_router_supports_async(self, make_random_problem):
         with process_router() as router:
-            assert router.supports_async
+            problem = make_random_problem(4, 0)
+            response = asyncio.run(router.submit_async(problem))
+            assert sorted(response.order) == list(range(4))
 
-    def test_inproc_router_does_not(self, make_random_problem):
+    def test_inproc_router_is_async_too(self, make_random_problem):
         config = ShardRouterConfig(shards=2, service_config=fast_config())
         with ShardRouter(config) as router:
-            assert not router.supports_async
+            problem = make_random_problem(4, 0)
+            cold = asyncio.run(router.submit_async(problem))
+            warm = asyncio.run(router.submit_async(problem))
+            assert not cold.cache_hit and warm.cache_hit
+            assert warm.order == cold.order
 
-            async def call() -> None:
-                await router.submit_async(make_random_problem(4, 0))
-
-            with pytest.raises(ShardingError, match="no async submit path"):
-                asyncio.run(call())
-
-    def test_server_detects_native_backend(self, native_server):
-        _, _, server = native_server
-        assert server.native_async
-
-    def test_in_proc_service_falls_back_to_bridge(self):
+    def test_in_proc_service_is_served_without_bridge_threads(self, make_random_problem):
         with PlanService(fast_config()) as plan_service:
             with serve_async(plan_service, host="127.0.0.1", port=0) as handle:
-                assert not handle.server.native_async
+                host, port = handle.address
+                before = thread_names()
+                status, _ = post_json(
+                    f"http://{host}:{port}/plan",
+                    problem_to_dict(make_random_problem(5, 3)),
+                )
+                assert status == 200
+                # The only thread a request may start is the service's
+                # optimizer-pool worker running its cold optimization.
+                new = thread_names() - before
+                assert all(name.startswith("plan-optimize") for name in new), new
 
 
 class TestNativeParity:
@@ -140,12 +145,13 @@ class TestNativeParity:
 
     def test_no_bridge_threads_after_native_traffic(self, native_server, make_random_problem):
         url, _, _ = native_server
+        before = thread_names()
         for seed in range(4):
             status, _ = post_json(
                 f"{url}/plan", problem_to_dict(make_random_problem(5, 20 + seed))
             )
             assert status == 200
-        assert bridge_thread_names() == []
+        assert thread_names() <= before  # no thread per request, anywhere
 
 
 class TestNativeTraceStitching:
@@ -186,21 +192,26 @@ class TestNativeTraceStitching:
 
 class TestNativeAdmission:
     def test_native_path_keeps_503_semantics(self, make_random_problem):
+        # The backend refuses one request with its admission-control error:
+        # the front end answers 503 and keeps serving.
         with process_router() as router:
-            with serve_async(
-                router, host="127.0.0.1", port=0, max_workers=1
-            ) as handle:
+            with serve_async(router, host="127.0.0.1", port=0) as handle:
                 host, port = handle.address
-                # Pin the admission counter at the bound: the next POST must
-                # be refused up front, native path or not.
-                handle.server._bridged = handle.server.max_workers
+                real_submit = router.submit_async
+                refusals = iter([AdmissionError("plan service over capacity: test")])
+
+                async def refuse_once(problem, budget_seconds=None, timeout_seconds=None):
+                    for error in refusals:
+                        raise error
+                    return await real_submit(problem, budget_seconds, timeout_seconds)
+
+                router.submit_async = refuse_once
                 status, payload = post_json(
                     f"http://{host}:{port}/plan",
                     problem_to_dict(make_random_problem(5, 1)),
                 )
                 assert status == 503
                 assert "over capacity" in payload["error"]
-                handle.server._bridged = 0
                 status, _ = post_json(
                     f"http://{host}:{port}/plan",
                     problem_to_dict(make_random_problem(5, 1)),

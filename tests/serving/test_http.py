@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 
@@ -10,7 +9,7 @@ import pytest
 from serving_helpers import StubBackend, get_json, post_json, raw_http
 
 from repro.serialization import problem_to_dict
-from repro.serving import PlanService, PlanServiceConfig, serve
+from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.serving.http import MAX_BODY_BYTES
 from repro.workloads import credit_card_screening
 
@@ -18,14 +17,9 @@ from repro.workloads import credit_card_screening
 @pytest.fixture
 def server():
     with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
-        plan_server = serve(plan_service, host="127.0.0.1", port=0)
-        plan_server.serve_in_background()
-        host, port = plan_server.server_address[:2]
-        try:
+        with serve_async(plan_service, host="127.0.0.1", port=0) as handle:
+            host, port = handle.address
             yield f"http://{host}:{port}"
-        finally:
-            plan_server.shutdown()
-            plan_server.server_close()
 
 
 class TestPlanEndpoint:
@@ -160,9 +154,8 @@ class TestBodyFraming:
 class TestGracefulShutdown:
     def test_in_flight_request_survives_graceful_close(self):
         backend = StubBackend(delay=0.4)
-        plan_server = serve(backend, host="127.0.0.1", port=0)
-        plan_server.serve_in_background()
-        host, port = plan_server.server_address[:2]
+        handle = serve_async(backend, host="127.0.0.1", port=0)
+        host, port = handle.address
         statuses: list[int] = []
 
         def request() -> None:
@@ -174,7 +167,7 @@ class TestGracefulShutdown:
         thread = threading.Thread(target=request)
         thread.start()
         time.sleep(0.15)  # the request is now sleeping inside the backend
-        drained = plan_server.close_gracefully(timeout=5.0, close_backend=True)
+        drained = handle.close(timeout=5.0, close_backend=True)
         thread.join(timeout=10.0)
         assert statuses == [200]  # the in-flight request completed first
         assert drained
@@ -182,67 +175,48 @@ class TestGracefulShutdown:
 
     def test_drain_deadline_is_honoured(self):
         backend = StubBackend(delay=1.5)
-        plan_server = serve(backend, host="127.0.0.1", port=0)
-        plan_server.serve_in_background()
-        host, port = plan_server.server_address[:2]
-        thread = threading.Thread(
-            target=lambda: post_json(
-                f"http://{host}:{port}/plan", problem_to_dict(credit_card_screening())
-            )
-        )
+        handle = serve_async(backend, host="127.0.0.1", port=0)
+        host, port = handle.address
+        outcomes: list[BaseException] = []
+
+        def request() -> None:
+            try:
+                post_json(f"http://{host}:{port}/plan", problem_to_dict(credit_card_screening()))
+            except OSError as error:
+                outcomes.append(error)
+
+        thread = threading.Thread(target=request)
         thread.start()
         time.sleep(0.15)
         started = time.monotonic()
-        drained = plan_server.close_gracefully(timeout=0.2)
-        assert not drained  # the handler outlived the deadline
+        drained = handle.close(timeout=0.2)
+        assert not drained  # the request outlived the deadline
         assert time.monotonic() - started < 1.0
         thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert outcomes  # ... and its connection was cut, not answered
 
     def test_graceful_close_without_serving_just_closes(self):
-        plan_server = serve(StubBackend(), host="127.0.0.1", port=0)
-        assert plan_server.close_gracefully(timeout=0.5)
+        handle = serve_async(StubBackend(), host="127.0.0.1", port=0)
+        assert handle.close(timeout=0.5)
 
     def test_idle_keepalive_connection_does_not_stall_the_drain(self):
         """Regression: the drain used to count open connections, so an idle
-        keep-alive handler parked between requests pinned the whole timeout."""
+        keep-alive connection parked between requests pinned the whole timeout."""
         import http.client
 
-        plan_server = serve(StubBackend(), host="127.0.0.1", port=0)
-        plan_server.serve_in_background()
-        host, port = plan_server.server_address[:2]
+        handle = serve_async(StubBackend(), host="127.0.0.1", port=0)
+        host, port = handle.address
         idle = http.client.HTTPConnection(host, port, timeout=10)
         try:
             idle.request("GET", "/healthz")
             idle.getresponse().read()  # answered; the connection stays open
             time.sleep(0.1)
             started = time.monotonic()
-            assert plan_server.close_gracefully(timeout=5.0)  # drains clean...
+            assert handle.close(timeout=5.0)  # drains clean...
             assert time.monotonic() - started < 3.0  # ...without the timeout
         finally:
             idle.close()
-
-    def test_graceful_close_with_saturated_connection_bound(self):
-        """Regression: a queued connection parked the accept loop in the slot
-        acquire, so shutdown() ignored the graceful deadline entirely."""
-        plan_server = serve(
-            StubBackend(), host="127.0.0.1", port=0,
-            max_connections=1, request_timeout=30.0,
-        )
-        plan_server.serve_in_background()
-        address = plan_server.server_address[:2]
-        stalled = socket.create_connection(address, timeout=10)
-        stalled.sendall(b"POST /plan HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n")
-        time.sleep(0.15)  # the only slot is now held by a stalled handler
-        queued = socket.create_connection(address, timeout=10)
-        time.sleep(0.2)  # accepted, now parked waiting for a slot
-        try:
-            started = time.monotonic()
-            drained = plan_server.close_gracefully(timeout=0.5)
-            assert time.monotonic() - started < 3.0  # deadline honoured
-            assert not drained  # the stalled handler outlived it
-        finally:
-            stalled.close()
-            queued.close()
 
 
 class TestStatsAndHealth:

@@ -172,12 +172,11 @@ class TestShardedStampede:
         with ShardRouter(config) as router:
             key = fingerprint_problem(four_service_problem).key
             owner = router.shard_for(key)
-            owner_service = router._shards[owner].service
+            owner_service = router._shards[owner]
             optimize_calls = []
             calls_lock = threading.Lock()
 
-            for shard_id, shard in router._shards.items():
-                service = shard.service
+            for shard_id, service in router._shards.items():
                 original = service._portfolio.optimize
 
                 def counting_optimize(

@@ -117,30 +117,38 @@ class TestPlan:
 
 class TestServe:
     def test_serve_binds_and_shuts_down(self, capsys, monkeypatch):
-        from repro.serving import PlanServer
+        import repro.cli as cli_module
 
-        # Substitute the blocking accept loop with an immediate interrupt so
-        # the command exercises its full startup/shutdown path.
-        def fake_serve_forever(self, poll_interval=0.5):
+        # Substitute the foreground wait with an immediate interrupt so the
+        # command exercises its full startup/shutdown path.
+        def fake_wait():
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(PlanServer, "serve_forever", fake_serve_forever)
+        monkeypatch.setattr(cli_module, "_wait_forever", fake_wait)
         assert main(["serve", "--port", "0", "--budget", "0.2"]) == 0
         output = capsys.readouterr().out
         assert "listening on http://" in output
         assert "shutting down" in output
 
     def test_serve_routes_through_shards(self, capsys, monkeypatch):
-        from repro.serving import PlanServer
+        import repro.cli as cli_module
+        import repro.serving as serving_module
+        from repro.sharding import ShardRouter
 
-        def fake_serve_forever(self, poll_interval=0.5):
-            from repro.sharding import ShardRouter
+        served = []
+        real_serve_async = serving_module.serve_async
 
-            assert isinstance(self.plan_service, ShardRouter)
-            assert self.plan_service.stats()["shards"] == 2
+        def recording_serve_async(backend, **options):
+            served.append(backend)
+            return real_serve_async(backend, **options)
+
+        def fake_wait():
+            assert isinstance(served[0], ShardRouter)
+            assert served[0].stats()["shards"] == 2
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(PlanServer, "serve_forever", fake_serve_forever)
+        monkeypatch.setattr(serving_module, "serve_async", recording_serve_async)
+        monkeypatch.setattr(cli_module, "_wait_forever", fake_wait)
         assert (
             main(
                 [
@@ -167,8 +175,7 @@ class TestServe:
     def test_serve_async_binds_and_shuts_down(self, capsys, monkeypatch):
         import repro.cli as cli_module
 
-        # Substitute the foreground wait with an immediate interrupt so the
-        # command exercises the async startup + graceful shutdown path.
+        # ``--async`` stays accepted so command lines that pass it keep working.
         def fake_wait():
             raise KeyboardInterrupt
 
