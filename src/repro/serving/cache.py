@@ -151,13 +151,6 @@ class _InFlightCall:
         self.waiters = 0
 
 
-def _running_future() -> Future:
-    """A future its callers cannot cancel: it is running from the start."""
-    future: Future = Future()
-    future.set_running_or_notify_cancel()
-    return future
-
-
 class SingleFlight:
     """Per-key call coalescing (the classic *single-flight* primitive).
 
@@ -205,27 +198,6 @@ class SingleFlight:
     def follower_error(error: BaseException) -> ServingError:
         """What a follower raises when the flight it rode on failed."""
         return ServingError(f"coalesced optimization failed: {type(error).__name__}: {error}")
-
-    def do(self, key: str, compute: Callable[[], object]) -> tuple[object, bool]:
-        """Run ``compute`` once per concurrent burst of callers of ``key``.
-
-        Blocking: the leader runs ``compute`` on its own thread and followers
-        wait for it.  Returns ``(value, leader)``; ``leader`` tells the
-        caller whether it executed ``compute`` itself or rode along on
-        another caller's flight.  The leader sees its own error, followers
-        :meth:`follower_error`.
-        """
-        future, leader = self.join(key, _running_future)
-        if leader:
-            try:
-                future.set_result(compute())
-            except BaseException as error:  # noqa: BLE001 - re-raised by result()
-                future.set_exception(error)
-            return future.result(), True
-        try:
-            return future.result(), False
-        except Exception as error:
-            raise self.follower_error(error) from None
 
     def in_flight(self) -> int:
         """Number of keys currently being computed (for stats/tests)."""

@@ -27,15 +27,15 @@ are deduplicated by fingerprint so each unique problem is optimized once —
 the bulk-compilation mirror of the single-flight contract.
 
 Each request runs one code path, written as *steps*: a generator that does
-the cache work inline and, on the awaitable surface
-(:meth:`PlanService.submit_async`, :meth:`PlanService.optimize_batch_async`),
-yields a :class:`concurrent.futures.Future` when it needs a cold
-optimization — the leader's runs on the service's optimizer pool, and
-single-flight followers get the leader's future — so a cache hit is
-answered inline on the event loop and a miss holds no thread while it
-waits.  The blocking surface (:meth:`PlanService.submit`,
-:meth:`PlanService.optimize_batch`) runs the same steps on the caller's
-thread, which optimizes (or waits for its flight's leader) itself.
+the cache work inline and yields a :class:`concurrent.futures.Future` when it
+needs a cold optimization — the leader's runs on the service's optimizer
+pool of ``max_in_flight`` workers, and single-flight followers get the
+leader's future.  The awaitable surface (:meth:`PlanService.submit_async`,
+:meth:`PlanService.optimize_batch_async`) awaits each future, so a cache hit
+is answered inline on the event loop and a miss holds no thread while it
+waits; the blocking surface (:meth:`PlanService.submit`,
+:meth:`PlanService.optimize_batch`) blocks on it.  Either way at most
+``max_in_flight`` optimizations run at once.
 
 Every answer is measured (:mod:`repro.serving.metrics`); :meth:`PlanService.stats`
 exposes the whole picture — cache counters, per-source latency quantiles,
@@ -132,12 +132,15 @@ class PlanServiceConfig:
     """Directory of a file-backed :class:`~repro.serving.store.SharedStore`
     to keep cached plans in (``None`` keeps the in-process
     :class:`~repro.serving.store.LocalStore`).  Several shard processes
-    pointing at one directory share warm plans."""
+    pointing at one directory share warm plans.  A cache hit reads and
+    touches the entry's file on the caller's thread, which for
+    :meth:`PlanService.submit_async` is the event loop: keep the directory
+    on a local disk."""
 
     max_in_flight: int = 8
-    """Size of the optimizer pool that runs awaited cold optimizations
-    (further misses queue for a worker); with ``queue_depth`` it also sets
-    the admission bound."""
+    """Size of the optimizer pool that runs cold optimizations for both
+    surfaces (further misses queue for a worker); with ``queue_depth`` it
+    also sets the admission bound."""
 
     queue_depth: int = 64
     """Requests allowed to be pending beyond ``max_in_flight`` before
@@ -320,7 +323,7 @@ class PlanService:
             max_workers=max(2 * len(self.config.algorithms), self.config.max_in_flight),
         )
         self._single_flight = SingleFlight()
-        # Awaited cold optimizations run here, at most max_in_flight at a time.
+        # Cold optimizations run here, at most max_in_flight at a time.
         self._optimizer = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.max_in_flight, thread_name_prefix="plan-optimize"
         )
@@ -386,8 +389,7 @@ class PlanService:
         future (or its flight leader's) without holding a thread.
         """
         with self._admitted("service.submit"):
-            steps = self._answer(problem, budget_seconds, fingerprint, blocking=False)
-            return await _run_async(steps)
+            return await _run_async(self._answer(problem, budget_seconds, fingerprint))
 
     def submit_batch(self, problems: Sequence[OrderingProblem]) -> list[PlanResponse]:
         """Answer several requests, preserving order (each admitted separately)."""
@@ -426,8 +428,7 @@ class PlanService:
     ) -> list[PlanResponse]:
         """Awaitable :meth:`optimize_batch` (the same steps, awaited on the loop)."""
         with self._admitted("service.batch", size=len(problems)):
-            steps = self._answer_batch(problems, budget_seconds, fingerprints, blocking=False)
-            return await _run_async(steps)
+            return await _run_async(self._answer_batch(problems, budget_seconds, fingerprints))
 
     def warm(self, problems: Iterable[OrderingProblem]) -> int:
         """Pre-populate the cache (bypasses admission control); returns the count."""
@@ -537,7 +538,6 @@ class PlanService:
         problem: OrderingProblem,
         budget_seconds: float | None,
         fingerprint: ProblemFingerprint | None = None,
-        blocking: bool = True,
     ) -> Generator[concurrent.futures.Future, object, PlanResponse]:
         """One request's steps (see the module docstring)."""
         stopwatch = Stopwatch().start()
@@ -550,7 +550,7 @@ class PlanService:
 
         try:
             positions, algorithm, optimal, leader = yield from self._optimize_cold(
-                problem, budget_seconds, fingerprint, blocking
+                problem, budget_seconds, fingerprint
             )
         except ReproError:
             self.metrics.record_failure()
@@ -619,11 +619,10 @@ class PlanService:
         problem: OrderingProblem,
         budget_seconds: float | None,
         fingerprint: ProblemFingerprint,
-        blocking: bool,
     ) -> Generator[concurrent.futures.Future, object, tuple[tuple[int, ...], str, bool, bool]]:
         """Steps of a miss, coalescing concurrent misses on the same
-        fingerprint onto one flight: awaitable steps yield the optimization's
-        future (the leader's runs on the optimizer pool).
+        fingerprint onto one flight: yields the optimization's future (the
+        leader's runs on the optimizer pool).
 
         Returns ``(canonical positions, algorithm, optimal, leader)``.  The
         flight shares canonical *positions* rather than a result object: each
@@ -645,24 +644,16 @@ class PlanService:
                 raise ServingError("the plan service has been closed") from None
 
         with trace_span("optimize.cold") as span:
-            if blocking:
-                # A blocking caller already holds a thread: it optimizes (or,
-                # as a follower, waits) on that thread and never yields.
-                if not self.config.cache_enabled:
-                    value, leader = compute(), True
-                else:
-                    value, leader = self._single_flight.do(fingerprint.key, compute)
+            if not self.config.cache_enabled:
+                future, leader = start(), True
             else:
-                if not self.config.cache_enabled:
-                    future, leader = start(), True
-                else:
-                    future, leader = self._single_flight.join(fingerprint.key, start)
-                try:
-                    value = yield future
-                except Exception as error:
-                    if leader:
-                        raise
-                    raise SingleFlight.follower_error(error) from None
+                future, leader = self._single_flight.join(fingerprint.key, start)
+            try:
+                value = yield future
+            except Exception as error:
+                if leader:
+                    raise
+                raise SingleFlight.follower_error(error) from None
             span.annotate(coalesced=not leader)
         positions, algorithm, optimal = value  # type: ignore[misc]
         return (positions, algorithm, optimal, leader)
@@ -672,7 +663,6 @@ class PlanService:
         problems: Sequence[OrderingProblem],
         budget_seconds: float | None,
         fingerprints: Sequence[ProblemFingerprint] | None = None,
-        blocking: bool = True,
     ) -> Generator[concurrent.futures.Future, object, list[PlanResponse]]:
         """One batch's steps: every unique miss yields one optimization future."""
         if fingerprints is not None and len(fingerprints) != len(problems):
@@ -714,7 +704,7 @@ class PlanService:
             stopwatch = Stopwatch().start()
             try:
                 positions, algorithm, optimal, leader = yield from self._optimize_cold(
-                    problems[leader_index], budget_seconds, fingerprints[leader_index], blocking
+                    problems[leader_index], budget_seconds, fingerprints[leader_index]
                 )
             except ReproError:
                 self.metrics.record_failure()
@@ -841,13 +831,20 @@ class PlanService:
 
 
 def _run(steps: Generator) -> object:
-    """The answer of blocking steps, which never yield: their misses run on
-    the caller's own thread."""
+    """Drive request steps to their answer, blocking on each future they yield."""
     try:
-        next(steps)
+        future = next(steps)
+        while True:
+            try:
+                outcome = future.result()
+            except Exception as error:  # noqa: BLE001 - handed back to the steps
+                future = steps.throw(error)
+            else:
+                future = steps.send(outcome)
     except StopIteration as finished:
         return finished.value
-    raise AssertionError("blocking request steps yielded a future")
+    finally:
+        steps.close()
 
 
 async def _run_async(steps: Generator) -> object:

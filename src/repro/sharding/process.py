@@ -80,8 +80,8 @@ def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id
     multiprocessing.current_process()._config["daemon"] = False
     service = PlanService(config)
     # Each request is answered on its own executor thread through the
-    # service's blocking surface: a miss optimizes right on that thread, so
-    # no answer waits for a hand-off while the portfolio's racers hold the GIL.
+    # service's blocking surface: a hit on that thread, a miss by blocking on
+    # the service's optimizer pool.
     executor = ThreadPoolExecutor(
         max_workers=config.max_in_flight + 2, thread_name_prefix="shard-request"
     )

@@ -119,6 +119,39 @@ class TestAdmissionControl:
             assert len(responses) == 10
             assert plan_service.metrics.rejected == 0
 
+    def test_blocking_callers_run_at_most_max_in_flight_optimizations(self):
+        limit, callers = 2, 6
+        config = PlanServiceConfig(budget_seconds=None, max_in_flight=limit, queue_depth=callers)
+        with PlanService(config) as plan_service:
+            running, peak = 0, 0
+            lock = threading.Lock()
+            original = plan_service._portfolio.optimize
+
+            def counting_optimize(problem, budget_seconds=None):
+                nonlocal running, peak
+                with lock:
+                    running += 1
+                    peak = max(peak, running)
+                time.sleep(0.05)
+                try:
+                    return original(problem, budget_seconds=budget_seconds)
+                finally:
+                    with lock:
+                        running -= 1
+
+            plan_service._portfolio.optimize = counting_optimize
+            problems = [random_problem(5, seed) for seed in range(callers)]
+            barrier = threading.Barrier(callers)
+
+            def submit(problem):
+                barrier.wait(timeout=5.0)
+                return plan_service.submit(problem)
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=callers) as pool:
+                responses = list(pool.map(submit, problems))
+            assert [r.cache_hit for r in responses] == [False] * callers
+            assert peak == limit
+
 
 class TestStaleWhileRevalidate:
     def test_expired_entry_is_served_stale_and_refreshed(self, four_service_problem):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -16,14 +17,36 @@ from repro.exceptions import ServingError
 from repro.serving import PlanService, PlanServiceConfig, SingleFlight, fingerprint_problem
 
 
+def _started(compute, calls=None):
+    """A flight ``start`` that runs ``compute`` on its own thread."""
+
+    def start() -> Future:
+        if calls is not None:
+            calls.append(1)
+        future: Future = Future()
+
+        def run() -> None:
+            try:
+                future.set_result(compute())
+            except Exception as error:
+                future.set_exception(error)
+
+        threading.Thread(target=run).start()
+        return future
+
+    return start
+
+
 class TestSingleFlightPrimitive:
     def test_sequential_calls_each_lead(self):
         flight = SingleFlight()
         calls = []
         for _ in range(3):
-            value, leader = flight.do("k", lambda: calls.append(1) or len(calls))
+            future, leader = flight.join("k", _started(lambda: len(calls), calls))
             assert leader
+            assert future.result(timeout=5.0) == len(calls)
         assert len(calls) == 3
+        assert flight.in_flight() == 0
 
     def test_concurrent_calls_coalesce(self):
         flight = SingleFlight()
@@ -31,73 +54,37 @@ class TestSingleFlightPrimitive:
         calls = []
 
         def compute():
-            calls.append(1)
             release.wait(timeout=5.0)
             return "answer"
 
-        outcomes = []
-        outcomes_lock = threading.Lock()
-
-        def caller():
-            outcome = flight.do("k", compute)
-            with outcomes_lock:
-                outcomes.append(outcome)
-
-        leader = threading.Thread(target=caller)
-        leader.start()
-        while not calls:  # wait for the leader to be inside compute()
-            pass
-        followers = [threading.Thread(target=caller) for _ in range(3)]
-        for thread in followers:
-            thread.start()
-        limit = time.monotonic() + 5.0
-        while flight.waiting("k") < 3:  # all followers inside the flight
-            assert time.monotonic() < limit, "followers never joined the flight"
-            time.sleep(0.001)
+        joined = [flight.join("k", _started(compute, calls)) for _ in range(4)]
+        assert flight.waiting("k") == 3
         release.set()
-        leader.join(timeout=5.0)
-        for thread in followers:
-            thread.join(timeout=5.0)
 
         assert len(calls) == 1, "exactly one computation per concurrent burst"
-        assert [value for value, _ in outcomes] == ["answer"] * 4
-        assert sum(1 for _, lead in outcomes if lead) == 1
-        assert flight.in_flight() == 0
+        assert [future.result(timeout=5.0) for future, _ in joined] == ["answer"] * 4
+        assert [leader for _, leader in joined] == [True, False, False, False]
+        limit = time.monotonic() + 5.0
+        while flight.in_flight():  # the flight lands once its future resolves
+            assert time.monotonic() < limit, "the flight never landed"
+            time.sleep(0.001)
 
     def test_leader_error_propagates_to_followers(self):
         flight = SingleFlight()
         release = threading.Event()
-        started = threading.Event()
 
         def explode():
-            started.set()
             release.wait(timeout=5.0)
             raise ValueError("boom")
 
-        errors = []
-
-        def leader():
-            with pytest.raises(ValueError):
-                flight.do("k", explode)
-
-        def follower():
-            try:
-                flight.do("k", lambda: "never")
-            except ServingError as error:
-                errors.append(str(error))
-
-        leader_thread = threading.Thread(target=leader)
-        leader_thread.start()
-        assert started.wait(timeout=5.0)
-        follower_thread = threading.Thread(target=follower)
-        follower_thread.start()
-        # Give the follower a moment to join the flight before releasing.
-        while flight.in_flight() == 0:
-            pass
+        leader_future, leader = flight.join("k", _started(explode))
+        follower_future, follower_leads = flight.join("k", _started(lambda: "never"))
+        assert leader and not follower_leads
         release.set()
-        leader_thread.join(timeout=5.0)
-        follower_thread.join(timeout=5.0)
-        assert errors and "boom" in errors[0]
+        with pytest.raises(ValueError):
+            leader_future.result(timeout=5.0)
+        error = SingleFlight.follower_error(follower_future.exception(timeout=5.0))
+        assert isinstance(error, ServingError) and "boom" in str(error)
 
 
 class TestStampede:
