@@ -9,7 +9,7 @@ short stream.
 
 from __future__ import annotations
 
-from repro.core import PartialPlan, branch_and_bound, dynamic_programming
+from repro.core import branch_and_bound, dynamic_programming
 from repro.core.bounds import max_residual_cost
 from repro.simulation import SimulationConfig, simulate_plan
 from repro.workloads import default_spec, generate_problem
@@ -17,7 +17,7 @@ from repro.workloads import default_spec, generate_problem
 _PROBLEM_8 = generate_problem(default_spec(8), seed=5)
 _PROBLEM_12 = generate_problem(default_spec(12), seed=5)
 _ORDER_8 = tuple(range(8))
-_PREFIX_12 = PartialPlan.from_order(_PROBLEM_12, tuple(range(6)))
+_PREFIX_12 = _PROBLEM_12.evaluator().prefix(tuple(range(6)))
 
 
 def test_plan_cost_evaluation(benchmark):
@@ -26,9 +26,8 @@ def test_plan_cost_evaluation(benchmark):
 
 
 def test_partial_plan_extension(benchmark):
-    partial = PartialPlan.from_order(_PROBLEM_12, tuple(range(6)))
-    result = benchmark(lambda: partial.extend(7))
-    assert result.size == 7
+    result = benchmark(lambda: _PREFIX_12.extend(7))
+    assert result.length == 7
 
 
 def test_residual_bound_computation(benchmark):

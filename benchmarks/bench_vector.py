@@ -1,19 +1,21 @@
 """Scalar-vs-vector kernel microbenchmark: whole candidate sets per call.
 
-Times the three batch shapes the vector kernel (:mod:`repro.core.vector`)
-was built for, each against the equivalent scalar-kernel loop:
+Times the two implementations of the kernel contract the optimizers are
+written against (:func:`repro.core.vector.evaluation_kernel`) — the scalar
+:class:`~repro.core.evaluation.PlanEvaluator` and the vector
+:class:`~repro.core.vector.BatchEvaluator` — on the shapes the vector
+kernel was built for:
 
-* ``plans``     — score a batch of complete plans (``score_orders`` vs a
-  ``PlanEvaluator.cost`` loop), swept over batch sizes;
-* ``beam``      — score every feasible extension of a beam front
-  (``score_front`` vs ``PrefixState.extend(...).epsilon`` per child), swept
-  over front widths;
-* ``neighbours``— one steepest-descent step over the full swap/relocate
-  neighbourhood (``best_neighbor`` vs the bounded scalar double loop).
+* ``plans``     — score a batch of complete plans (vector ``score_orders``
+  vs a loop of the contract's ``cost``), swept over batch sizes;
+* ``beam``      — ``score_front``: every feasible extension of a beam front,
+  swept over front widths;
+* ``neighbours``— ``best_neighbor``: one steepest-descent step over the full
+  swap/relocate neighbourhood.
 
-Both kernels compute bit-identical costs in default mode (asserted here on
-the ``plans`` section as a sanity check, and property-tested exhaustively in
-``tests/core/test_vector.py``), so the speedups below are free.
+Both kernels return bit-identical results (asserted here on every cell, and
+property-tested exhaustively in ``tests/core/test_vector.py``), so the
+speedups below are free.
 
 The committed ``BENCH_vector.json`` backs the headline claim: >= 3x over
 scalar for beam-front and neighbourhood scoring at n >= 16 with batches of
@@ -36,7 +38,7 @@ import time
 from pathlib import Path
 
 from repro.core import OrderingProblem
-from repro.core.vector import batch_evaluator, numpy_available
+from repro.core.vector import evaluation_kernel, numpy_available
 from repro.utils import runtime_provenance
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_vector.json"
@@ -74,9 +76,9 @@ def best_seconds(fn, repeats: int, inner: int) -> float:
 
 
 def bench_plans(problem, batch_size: int, repeats: int, inner: int, rng) -> dict:
-    """Complete-plan batch scoring: ``score_orders`` vs an ``evaluator.cost`` loop."""
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
+    """Complete-plan batch scoring: ``score_orders`` vs a scalar ``cost`` loop."""
+    evaluator = evaluation_kernel(problem, "scalar")
+    batch = evaluation_kernel(problem, "vector")
     orders = [tuple(rng.sample(range(problem.size), problem.size)) for _ in range(batch_size)]
 
     vector_scores = batch.score_orders(orders)
@@ -97,9 +99,9 @@ def bench_plans(problem, batch_size: int, repeats: int, inner: int, rng) -> dict
 
 
 def bench_beam_front(problem, width: int, repeats: int, inner: int, rng) -> dict:
-    """Beam-front scoring: ``score_front`` vs per-child ``extend().epsilon``."""
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
+    """Beam-front scoring: ``score_front`` on both kernels."""
+    evaluator = evaluation_kernel(problem, "scalar")
+    batch = evaluation_kernel(problem, "vector")
     size = problem.size
     depth = size // 2
     root = evaluator.root()
@@ -110,15 +112,9 @@ def bench_beam_front(problem, width: int, repeats: int, inner: int, rng) -> dict
             state = state.extend(service)
         front.append(state)
     candidates = width * (size - depth)
+    assert evaluator.score_front(front, False)[2] == batch.score_front(front, False)[2].tolist()
 
-    def scalar_pass():
-        return [
-            state.extend(successor).epsilon
-            for state in front
-            for successor in state.allowed_extensions()
-        ]
-
-    scalar = best_seconds(scalar_pass, repeats, inner)
+    scalar = best_seconds(lambda: evaluator.score_front(front, False), repeats, inner)
     vector = best_seconds(lambda: batch.score_front(front, False), repeats, inner)
     return {
         "kind": "beam",
@@ -132,35 +128,16 @@ def bench_beam_front(problem, width: int, repeats: int, inner: int, rng) -> dict
 
 
 def bench_neighbourhood(problem, repeats: int, inner: int, rng) -> dict:
-    """One steepest-descent step: ``best_neighbor`` vs the scalar double loop."""
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
+    """One steepest-descent step: ``best_neighbor`` on both kernels."""
+    evaluator = evaluation_kernel(problem, "scalar")
+    batch = evaluation_kernel(problem, "vector")
     size = problem.size
     order = tuple(rng.sample(range(size), size))
     candidates = size * (size - 1) // 2 + size * (size - 1)
 
-    def scalar_step():
-        neighborhood = evaluator.neighborhood(order)
-        best_cost = neighborhood.cost
-        best = None
-        for i in range(size):
-            for j in range(i + 1, size):
-                if not neighborhood.swap_feasible(i, j):
-                    continue
-                cost = neighborhood.swap_cost(i, j, best_cost)
-                if cost < best_cost:
-                    best_cost, best = cost, neighborhood.swapped(i, j)
-        for i in range(size):
-            for j in range(size):
-                if i == j or not neighborhood.relocate_feasible(i, j):
-                    continue
-                cost = neighborhood.relocate_cost(i, j, best_cost)
-                if cost < best_cost:
-                    best_cost, best = cost, neighborhood.relocated(i, j)
-        return best, best_cost
-
-    base_cost = evaluator.neighborhood(order).cost
-    scalar = best_seconds(scalar_step, repeats, inner)
+    base_cost = evaluator.cost(order)
+    assert evaluator.best_neighbor(order, base_cost) == batch.best_neighbor(order, base_cost)
+    scalar = best_seconds(lambda: evaluator.best_neighbor(order, base_cost), repeats, inner)
     vector = best_seconds(lambda: batch.best_neighbor(order, base_cost), repeats, inner)
     return {
         "kind": "neighbours",

@@ -36,7 +36,7 @@ from repro.core.local_search import (
     simulated_annealing,
 )
 from repro.core.optimizer import ALGORITHMS, available_algorithms, compare, optimize
-from repro.core.plan import PartialPlan, Plan
+from repro.core.plan import Plan
 from repro.core.precedence import PrecedenceGraph
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
@@ -46,6 +46,7 @@ from repro.core.vector import (
     BatchEvaluator,
     batch_evaluator,
     default_kernel,
+    evaluation_kernel,
     numpy_available,
     prepare_kernel,
     resolve_kernel,
@@ -69,7 +70,6 @@ __all__ = [
     "NeighborhoodEvaluator",
     "OptimizationResult",
     "OrderingProblem",
-    "PartialPlan",
     "Plan",
     "PlanEvaluator",
     "PrecedenceGraph",
@@ -95,6 +95,7 @@ __all__ = [
     "distance_matrix_from_problem",
     "dynamic_programming",
     "epsilon_bar",
+    "evaluation_kernel",
     "exhaustive_search",
     "greedy",
     "hill_climbing",

@@ -15,30 +15,25 @@ It serves two roles in the reproduction:
 * a quality baseline whose gap to the exact optimum quantifies what the
   guarantee of the paper's algorithm is worth.
 
-Prefixes are the kernel's O(1)-extend
-:class:`~repro.core.evaluation.PrefixState`; both score components come
-straight from the kernel (``ε`` is maintained incrementally and is
-bit-identical to the from-scratch cost model, ``ε̄`` is
-:meth:`~repro.core.evaluation.PlanEvaluator.residual_value` over the
-pre-extracted arrays), and candidate generation order and the stable sort
-are unchanged, so ties keep breaking the same way.
-
-On the vector kernel (:mod:`repro.core.vector`) each level scores *every*
-feasible child of the whole front in one batch call, sorts by ``ε`` with a
-stable argsort, and computes the ``ε̄`` tie-break lazily — only for groups of
-candidates with exactly equal ``ε`` that reach the beam cut.  Because the
-scalar sort key is ``(ε, ε̄)`` with a stable sort over generation order, and
-the lazy pass reorders precisely those tie groups by ``ε̄`` (stable again),
-the surviving beam — content *and* order — is identical to the scalar path's,
-so the two kernels return the same plan and the same cost, bit for bit.
+The search is written once against the kernel contract
+(:func:`repro.core.vector.evaluation_kernel`).  Each level scores every
+feasible child of the whole front in one ``score_front`` call, ranks the
+children stably by ``ε``, and computes the ``ε̄`` tie-break
+(:meth:`~repro.core.evaluation.PlanEvaluator.residual_parts`) lazily — only
+for groups of children with exactly equal ``ε`` that reach the beam cut;
+only the survivors are materialized as
+:class:`~repro.core.evaluation.PrefixState` objects.  This is exactly a
+stable sort by ``(ε, ε̄)`` over generation order, and both kernels return
+bit-identical epsilons, so the scalar and vector kernels keep the same beam
+and return the same plan and statistics.
 """
 
 from __future__ import annotations
 
-from repro.core.evaluation import PrefixState
+from repro.core.evaluation import PlanEvaluator, PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import batch_evaluator, resolve_kernel
+from repro.core.vector import evaluation_kernel
 from repro.exceptions import OptimizationError
 from repro.utils.timing import Stopwatch
 
@@ -51,58 +46,49 @@ class BeamSearchOptimizer:
     name = "beam_search"
 
     def __init__(
-        self,
-        width: int = 16,
-        use_residual_bound: bool = True,
-        kernel: str | None = None,
-        fast_math: bool = False,
+        self, width: int = 16, use_residual_bound: bool = True, kernel: str | None = None
     ) -> None:
         if width < 1:
             raise ValueError("width must be at least 1")
         self.width = width
         self.use_residual_bound = use_residual_bound
         self.kernel = kernel
-        self.fast_math = fast_math
 
     def optimize(self, problem: OrderingProblem) -> OptimizationResult:
         """Construct a plan by beam search; optimal only if the beam never overflowed."""
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         evaluator = problem.evaluator()
-        kernel = resolve_kernel(self.kernel, problem.size)
+        kernel = evaluation_kernel(problem, self.kernel)
         beam: list[PrefixState] = [evaluator.root()]
         overflowed = False
 
-        if kernel == "vector":
-            batch = batch_evaluator(evaluator, self.fast_math)
-            for level in range(problem.size):
-                beam, level_overflowed = self._vector_level(
-                    batch, beam, final=level + 1 == problem.size, stats=stats
+        for level in range(problem.size):
+            final = level + 1 == problem.size
+            parents, extensions, epsilons = kernel.score_front(beam, final)
+            total = len(parents)
+            stats.nodes_expanded += total
+            if not total:
+                raise OptimizationError(
+                    "no service can legally be appended; precedence constraints are unsatisfiable"
                 )
-                overflowed = overflowed or level_overflowed
-        else:
-            for _ in range(problem.size):
-                candidates: list[PrefixState] = []
-                for state in beam:
-                    for successor in state.allowed_extensions():
-                        candidates.append(state.extend(successor))
-                        stats.nodes_expanded += 1
-                if not candidates:
-                    raise OptimizationError(
-                        "no service can legally be appended; "
-                        "precedence constraints are unsatisfiable"
-                    )
-                candidates.sort(key=self._score)
-                if len(candidates) > self.width:
-                    overflowed = True
-                    candidates = candidates[: self.width]
-                beam = candidates
+            # A stable rank by ε keeps generation order inside equal-ε groups —
+            # exactly where the (ε, ε̄) sort key consults ε̄ — so only those
+            # groups (and only when they reach the cut) need the O(n²) residual.
+            ranking = kernel.rank(epsilons)
+            if self.use_residual_bound and not final and total > 1:
+                self._residual_tiebreak(evaluator, beam, parents, extensions, epsilons, ranking)
+            beam = [
+                beam[parents[position]].extend(int(extensions[position]))
+                for position in ranking[: self.width]
+            ]
+            overflowed = overflowed or total > self.width
 
         best = min(beam, key=lambda state: state.epsilon)
         stats.plans_evaluated = len(beam)
         stats.extra["beam_width"] = self.width
         stats.extra["beam_overflowed"] = overflowed
-        stats.extra["kernel"] = kernel
+        stats.extra["kernel"] = kernel.kernel_name
         stats.elapsed_seconds = stopwatch.stop()
         plan = problem.plan(best.order)
         return OptimizationResult(
@@ -114,33 +100,14 @@ class BeamSearchOptimizer:
             statistics=stats,
         )
 
-    def _vector_level(
-        self, batch, beam: list[PrefixState], final: bool, stats: SearchStatistics
-    ) -> tuple[list[PrefixState], bool]:
-        """One beam level on the vector kernel: batch-score, sort, survive."""
-        import numpy as np  # repro-lint: disable=RL004 — vector-only path; resolve_kernel proved numpy importable
-
-        parents, extensions, epsilons = batch.score_front(beam, final)
-        total = len(parents)
-        stats.nodes_expanded += total
-        if not total:
-            raise OptimizationError(
-                "no service can legally be appended; precedence constraints are unsatisfiable"
-            )
-        # Stable sort by ε keeps generation order inside equal-ε groups —
-        # exactly where the scalar sort consults ε̄ — so only those groups
-        # (and only when they reach the cut) need the O(n²) residual.
-        ranking = list(np.argsort(epsilons, kind="stable"))
-        if self.use_residual_bound and not final and total > 1:
-            self._residual_tiebreak(batch, beam, parents, extensions, epsilons, ranking)
-        survivors = ranking[: self.width]
-        next_beam = [
-            beam[parents[position]].extend(int(extensions[position])) for position in survivors
-        ]
-        return next_beam, total > self.width
-
     def _residual_tiebreak(
-        self, batch, beam, parents, extensions, epsilons, ranking: list
+        self,
+        evaluator: PlanEvaluator,
+        beam: list[PrefixState],
+        parents,
+        extensions,
+        epsilons,
+        ranking: list[int],
     ) -> None:
         """Reorder equal-``ε`` groups that reach the beam cut by ``ε̄``, in place.
 
@@ -148,7 +115,6 @@ class BeamSearchOptimizer:
         materializing the child state; groups entirely past the cut can never
         enter the beam, so their internal order is irrelevant and skipped.
         """
-        evaluator = batch.evaluator
         selectivities = evaluator.selectivities
 
         def residual(position: int) -> float:
@@ -170,15 +136,9 @@ class BeamSearchOptimizer:
                 stop += 1
             if stop - start > 1:
                 # Python's sort is stable, so equal-ε̄ members keep generation
-                # order — the same tie-break the scalar (ε, ε̄) sort applies.
+                # order — the same tie-break as a stable (ε, ε̄) sort.
                 ranking[start:stop] = sorted(ranking[start:stop], key=residual)
             start = stop
-
-    def _score(self, state: PrefixState) -> tuple[float, float]:
-        """Order prefixes by incurred cost, breaking ties by residual risk."""
-        if self.use_residual_bound and not state.is_complete:
-            return (state.epsilon, state.evaluator.residual_value(state))
-        return (state.epsilon, 0.0)
 
 
 def beam_search(problem: OrderingProblem, width: int = 16) -> OptimizationResult:

@@ -4,10 +4,9 @@ The algorithm of the paper steers its search with two quantities per partial
 plan ``C``:
 
 * ``ε`` — the bottleneck cost of ``C`` itself (maintained incrementally by
-  :class:`repro.core.plan.PartialPlan` and the kernel's
-  :class:`repro.core.evaluation.PrefixState`); Lemma 1 states it never
-  decreases when the prefix is extended, so it is a valid lower bound for
-  every completion.
+  the kernel's :class:`repro.core.evaluation.PrefixState`); Lemma 1 states
+  it never decreases when the prefix is extended, so it is a valid lower
+  bound for every completion.
 * ``ε̄`` — the **maximum possible cost** any service not yet included in ``C``
   may still incur, whatever the remaining ordering.  Lemma 2 states that if
   ``ε >= ε̄`` the bottleneck of every completion of ``C`` equals ``ε``.
@@ -21,9 +20,9 @@ remaining ``σ > 1`` values, excluding the bounded service itself.
 
 The arithmetic itself lives in
 :meth:`repro.core.evaluation.PlanEvaluator.residual_parts`, which operates on
-the kernel's pre-extracted arrays; this module is the public face, accepting
-either a validated :class:`~repro.core.plan.PartialPlan` or a kernel
-:class:`~repro.core.evaluation.PrefixState`.
+the kernel's pre-extracted arrays; this module is the public face over a
+:class:`~repro.core.evaluation.PrefixState` (build one with
+:meth:`~repro.core.evaluation.PlanEvaluator.prefix`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.evaluation import PrefixState
-from repro.core.plan import PartialPlan
 from repro.core.problem import OrderingProblem
 
 __all__ = ["ResidualBound", "epsilon_bar", "max_residual_cost", "initial_upper_bound"]
@@ -59,7 +57,7 @@ class ResidualBound:
     last_service_bound: float
 
 
-def max_residual_cost(partial: PartialPlan | PrefixState) -> ResidualBound:
+def max_residual_cost(partial: PrefixState) -> ResidualBound:
     """Compute ``ε̄`` for ``partial`` (see module docstring).
 
     The bound is the maximum of
@@ -69,21 +67,11 @@ def max_residual_cost(partial: PartialPlan | PrefixState) -> ResidualBound:
     * for every remaining service ``j``: the worst-case number of tuples that
       can reach ``j`` times ``(c_j + σ_j * worst outgoing transfer of j)``.
     """
-    if isinstance(partial, PrefixState):
-        value, critical, last_bound = partial.evaluator.residual(partial)
-    else:
-        evaluator = partial.problem.evaluator()
-        placed_mask = 0
-        for index in partial.placed:
-            placed_mask |= 1 << index
-        last_rate = partial.prefix_products[-1] if partial.order else 1.0
-        value, critical, last_bound = evaluator.residual_parts(
-            placed_mask, partial.last, last_rate, partial.output_rate
-        )
+    value, critical, last_bound = partial.evaluator.residual(partial)
     return ResidualBound(value=value, critical_service=critical, last_service_bound=last_bound)
 
 
-def epsilon_bar(partial: PartialPlan | PrefixState) -> float:
+def epsilon_bar(partial: PrefixState) -> float:
     """Shorthand returning only the value of ``ε̄``."""
     return max_residual_cost(partial).value
 

@@ -25,15 +25,17 @@ all rules enabled the optimizer is still guaranteed to return an optimal plan,
 which the test-suite checks against exhaustive search.
 
 The search runs on the evaluation kernel (:mod:`repro.core.evaluation`):
-prefixes are O(1)-extend :class:`~repro.core.evaluation.PrefixState` objects,
-which carry exactly the Lemma-1 state (``ε`` and the bottleneck position)
-the former ``PartialPlan``-based implementation recomputed through tuple
-copies, and ``ε̄`` comes from
-:meth:`~repro.core.evaluation.PlanEvaluator.residual_value` over the
-pre-extracted arrays.  The kernel's ``ε`` matches the from-scratch cost
-model (:func:`repro.core.cost_model.bottleneck_cost`) bit for bit, so the
-pruning decisions are exactly those the paper's measures prescribe and the
-returned plan is a true optimum of the reported (oracle) cost.
+prefixes are O(1)-extend :class:`~repro.core.evaluation.PrefixState` objects
+carrying exactly the Lemma-1 state (``ε`` and the bottleneck position), and
+``ε̄`` comes from :meth:`~repro.core.evaluation.PlanEvaluator.residual_value`.
+The two scored successor orderings (cheapest ``ε`` term, and the best-pair
+ordering of first services) are written once against the kernel contract
+(:func:`repro.core.vector.evaluation_kernel`): one ``score_front`` call and
+a stable ``rank``.  Both kernels' ``ε`` match the from-scratch cost model
+(:func:`repro.core.cost_model.bottleneck_cost`) bit for bit, so the pruning
+decisions are exactly those the paper's measures prescribe, identical on
+both kernels, and the returned plan is a true optimum of the reported
+(oracle) cost.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, replace
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import batch_evaluator, resolve_kernel
+from repro.core.vector import evaluation_kernel
 from repro.exceptions import OptimizationError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
@@ -96,12 +98,9 @@ class BranchAndBoundOptions:
 
     kernel: str | None = None
     """Evaluation kernel for successor scoring: ``"scalar"``, ``"vector"`` or
-    ``"auto"`` (``None`` consults the process default).  On the vector kernel
-    the two scalar scoring loops — cheapest-``ε``-term successor ordering and
-    the best-pair ordering of first services — run as single
-    :meth:`~repro.core.vector.BatchEvaluator.score_front` calls.  Exploration
-    order, pruning decisions, statistics and the returned plan are identical
-    bit for bit (the batch ``ε`` matches the scalar one exactly)."""
+    ``"auto"`` (``None`` consults the process default).  Exploration order,
+    pruning decisions, statistics and the returned plan are identical bit for
+    bit on both kernels."""
 
     def __post_init__(self) -> None:
         if self.successor_order not in SuccessorOrder.ALL:
@@ -140,9 +139,8 @@ class BranchAndBoundOptimizer:
         self._stopwatch = stopwatch
         self._problem = problem
         self._evaluator = problem.evaluator()
-        kernel = resolve_kernel(self.options.kernel, problem.size)
-        self._batch = batch_evaluator(self._evaluator) if kernel == "vector" else None
-        stats.extra["kernel"] = kernel
+        self._kernel = evaluation_kernel(problem, self.options.kernel)
+        stats.extra["kernel"] = self._kernel.kernel_name
 
         if self.options.seed_incumbent:
             self._seed_incumbent(problem)
@@ -262,74 +260,39 @@ class BranchAndBoundOptimizer:
         """Successors of ``partial`` in the configured exploration order."""
         candidates = partial.allowed_extensions()
         order = self.options.successor_order
-        if order == SuccessorOrder.INDEX:
-            return sorted(candidates)
+        if order == SuccessorOrder.INDEX or len(candidates) < 2:
+            return candidates  # already index-ascending
         if order == SuccessorOrder.CHEAPEST_TERM:
-            if self._batch is not None and len(candidates) > 1:
-                return self._vector_cheapest_term(partial)
-            return sorted(candidates, key=lambda index: (partial.extend(index).epsilon, index))
+            # Extensions arrive index-ascending, so a stable rank by ε is the
+            # (ε, index) order.
+            final = partial.length + 1 == self._problem.size
+            _, extensions, epsilons = self._kernel.score_front([partial], final)
+            return [int(extensions[position]) for position in self._kernel.rank(epsilons)]
         # Cheapest-transfer policy (the paper's): for the empty prefix, order
         # first services by the cost of their best pair, which realises the
         # "append the less expensive pair of WSs" start of the algorithm.
         if partial.is_empty:
-            if self._batch is not None and len(candidates) > 1:
-                return self._vector_best_pairs(candidates)
-            return sorted(candidates, key=lambda index: (self._best_pair_cost(index), index))
+            return self._best_pair_order(candidates)
         row = self._evaluator.rows[partial.last]
         return sorted(candidates, key=lambda index: (row[index], index))
 
-    def _vector_cheapest_term(self, partial: PrefixState) -> list[int]:
-        """Batch variant of the cheapest-``ε``-term ordering (bit-identical).
+    def _best_pair_order(self, candidates: list[int]) -> list[int]:
+        """First services ordered by the bottleneck cost of their best two-service prefix.
 
-        One :meth:`~repro.core.vector.BatchEvaluator.score_front` call scores
-        every feasible extension; extensions arrive index-ascending, so a
-        stable argsort over the (exactly scalar-equal) epsilons reproduces the
-        scalar ``(ε, index)`` sort key.
+        One ``score_front`` call scores every feasible second service of every
+        single-service prefix; a first service whose every successor is
+        constrained out keeps its own ``ε`` as cost.  Ties keep index order.
         """
-        import numpy as np  # repro-lint: disable=RL004 — vector-only path; resolve_kernel proved numpy importable
-
-        final = partial.length + 1 == self._problem.size
-        _, extensions, epsilons = self._batch.score_front([partial], final)
-        ranking = np.argsort(epsilons, kind="stable")
-        return [int(extensions[position]) for position in ranking]
-
-    def _vector_best_pairs(self, candidates: list[int]) -> list[int]:
-        """Batch variant of the best-pair first-service ordering (bit-identical).
-
-        Scores every feasible second service of every single-service prefix in
-        one call and takes the per-parent minimum — the same ``min`` over the
-        same exactly-equal epsilons the scalar :meth:`_best_pair_cost` loop
-        computes.  A first service whose every successor is constrained out
-        keeps its own ``ε`` as cost, mirroring the scalar fallback.
-        """
-        import numpy as np  # repro-lint: disable=RL004 — vector-only path; resolve_kernel proved numpy importable
-
         root = self._evaluator.root()
         starts = [root.extend(first) for first in candidates]
-        parents, _, epsilons = self._batch.score_front(starts, self._problem.size == 2)
-        pair_costs = np.fromiter(
-            (start.epsilon for start in starts), dtype=np.float64, count=len(starts)
-        )
-        if len(parents):
-            minima = np.full(len(starts), np.inf)
-            np.minimum.at(minima, parents, epsilons)
-            children = np.bincount(parents, minlength=len(starts))
-            pair_costs = np.where(children > 0, minima, pair_costs)
-        return [
-            candidates[position]
-            for position in sorted(
-                range(len(candidates)),
-                key=lambda position: (pair_costs[position], candidates[position]),
-            )
-        ]
-
-    def _best_pair_cost(self, first: int) -> float:
-        """Bottleneck cost of the best two-service prefix starting with ``first``."""
-        start = self._evaluator.root().extend(first)
-        candidates = start.allowed_extensions()
-        if not candidates:
-            return start.epsilon
-        return min(start.extend(second).epsilon for second in candidates)
+        parents, _, epsilons = self._kernel.score_front(starts, self._problem.size == 2)
+        pair_costs = [start.epsilon for start in starts]
+        paired = [False] * len(starts)
+        for parent, epsilon in zip(parents, epsilons):
+            if not paired[parent] or epsilon < pair_costs[parent]:
+                pair_costs[parent] = epsilon
+                paired[parent] = True
+        return [candidates[position] for position in self._kernel.rank(pair_costs)]
 
     def _check_limits(self) -> None:
         options = self.options

@@ -11,7 +11,11 @@ search or branch-and-bound.  This module provides the fast path:
 * :class:`PlanEvaluator` — bound once to a problem; pre-extracts the cost,
   selectivity, transfer-row and sink-transfer arrays (plus precedence
   predecessor bitmasks) and evaluates complete plans in one tight loop with
-  no validation and no intermediate objects.
+  no validation and no intermediate objects.  It is also the scalar
+  implementation of the kernel contract the optimizers are written against
+  (``score_front``, ``rank``, ``cost``, ``best_neighbor``, ``dp_tables`` /
+  ``relax_layer`` / ``completion_terms``); the vector implementation is
+  :class:`repro.core.vector.BatchEvaluator`.
 * :class:`PrefixState` — an immutable, O(1)-extend prefix of a plan carrying
   the input rate, the running bottleneck maximum (``ε``) and its position,
   and the last service.  Constructive searches (greedy, beam,
@@ -162,6 +166,8 @@ class PlanEvaluator:
     :class:`~repro.core.problem.OrderingProblem`.
     """
 
+    kernel_name = "scalar"
+
     __slots__ = (
         "problem",
         "size",
@@ -170,14 +176,14 @@ class PlanEvaluator:
         "rows",
         "sink",
         "predecessor_masks",
-        "batch_cache",
+        "vector_arrays",
     )
 
     def __init__(self, problem: "OrderingProblem") -> None:
         self.problem = problem
-        self.batch_cache: dict | None = None
-        """Lazily-populated :class:`repro.core.vector.BatchEvaluator` cache,
-        keyed by ``fast_math`` — managed by :func:`repro.core.vector.batch_evaluator`."""
+        self.vector_arrays = None
+        """The vector kernel's read-only numpy arrays for this problem, built
+        on first use and shared by every :class:`repro.core.vector.BatchEvaluator`."""
         self.size = problem.size
         self.costs: tuple[float, ...] = problem.costs
         self.selectivities: tuple[float, ...] = problem.selectivities
@@ -274,6 +280,171 @@ class PlanEvaluator:
         """Delta evaluation of swap/relocate moves around the complete plan ``order``."""
         return NeighborhoodEvaluator(self, tuple(order))
 
+    # -- the kernel contract (shared with repro.core.vector.BatchEvaluator) --
+
+    def score_front(
+        self, front: Sequence["PrefixState"], final: bool
+    ) -> tuple[list[int], list[int], list[float]]:
+        """Score every feasible one-service extension of a prefix front.
+
+        All states must share one length; ``final`` says the extensions
+        complete the plan (their term then includes the sink transfer).
+        Returns ``(parents, extensions, epsilons)`` over the feasible
+        children in generation order (parent-major, extension index
+        ascending); each epsilon is bit-identical to
+        ``front[parent].extend(extension).epsilon`` without building the
+        child state.
+        """
+        costs = self.costs
+        selectivities = self.selectivities
+        sink = self.sink
+        parents: list[int] = []
+        extensions: list[int] = []
+        epsilons: list[float] = []
+        for parent, state in enumerate(front):
+            settled_max = state.settled_max
+            output_rate = state.output_rate
+            last = state.last
+            if state.length:
+                # rate * c + rate * sigma * t, with the shared factors hoisted
+                # (left-to-right evaluation makes the hoist exact).
+                settled_base = state.rate * costs[last]
+                outgoing_rate = state.rate * selectivities[last]
+                row = self.rows[last]
+            for successor in state.allowed_extensions():
+                settled = settled_max
+                if state.length:
+                    term = settled_base + outgoing_rate * row[successor]
+                    if term > settled:
+                        settled = term
+                if final:
+                    partial = (
+                        output_rate * costs[successor]
+                        + output_rate * selectivities[successor] * sink[successor]
+                    )
+                else:
+                    partial = output_rate * costs[successor]
+                parents.append(parent)
+                extensions.append(successor)
+                epsilons.append(settled if settled >= partial else partial)
+        if _profile is not None:
+            _profile.delta_evaluations += len(epsilons)
+        return parents, extensions, epsilons
+
+    @staticmethod
+    def rank(values: Sequence[float]) -> list[int]:
+        """Positions of ``values`` in ascending order, ties in input order."""
+        return sorted(range(len(values)), key=values.__getitem__)
+
+    def best_neighbor(
+        self, order: Sequence[int], bound: float
+    ) -> tuple[tuple[int, ...] | None, float, int]:
+        """The steepest feasible swap/relocate move from ``order``, if any beats ``bound``.
+
+        Returns ``(best order or None, its cost, feasible-move count)``.
+        Swaps ``(i, j)`` with ``i < j`` are scanned first, then relocates; the
+        running best is the incumbent bound, so most non-improving moves
+        abandon early, and only a strict improvement replaces the best — ties
+        go to the first move attaining the minimum.
+        """
+        neighborhood = self.neighborhood(order)
+        size = len(order)
+        best: tuple[int, ...] | None = None
+        best_cost = bound
+        evaluated = 0
+        for i in range(size):
+            for j in range(i + 1, size):
+                if not neighborhood.swap_feasible(i, j):
+                    continue
+                cost = neighborhood.swap_cost(i, j, best_cost)
+                evaluated += 1
+                if cost < best_cost:
+                    best_cost = cost
+                    best = neighborhood.swapped(i, j)
+        for i in range(size):
+            for j in range(size):
+                if i == j or not neighborhood.relocate_feasible(i, j):
+                    continue
+                cost = neighborhood.relocate_cost(i, j, best_cost)
+                evaluated += 1
+                if cost < best_cost:
+                    best_cost = cost
+                    best = neighborhood.relocated(i, j)
+        return best, best_cost, evaluated
+
+    def dp_tables(self, products: Sequence[float]):
+        """Subset-DP ``(values, parents, products)`` tables.
+
+        ``values[mask][last]`` / ``parents[mask][last]`` rows are allocated
+        lazily, on first reach, so only reachable masks ever hold a list.
+        """
+        cells = 1 << self.size
+        return [None] * cells, [None] * cells, products
+
+    def relax_layer(self, values, parents, products, layer: Sequence[int]):
+        """Relax every ``(mask, last)`` state of one popcount layer of the subset DP.
+
+        ``values[mask][last]`` is the smallest achievable maximum over the
+        settled terms of ``mask`` without ``last``; appending ``next`` settles
+        ``last``'s term.  Masks are taken in ascending order, lasts and
+        successors ascending, and a cell only changes on strict improvement,
+        so the parent tie-break goes to the smallest ``last``.  Returns the
+        next layer's masks (ascending), the number of newly reached cells and
+        the number of strict improvements.
+        """
+        size = self.size
+        costs = self.costs
+        selectivities = self.selectivities
+        rows = self.rows
+        masks = self.predecessor_masks or (0,) * size
+        # Per-service static transitions: every successor of `last` with its
+        # bit, precedence mask and transfer cost.
+        successors = [
+            tuple((nxt, 1 << nxt, masks[nxt], rows[last][nxt]) for nxt in range(size) if nxt != last)
+            for last in range(size)
+        ]
+        next_layer: list[int] = []
+        reached = 0
+        improved = 0
+        for mask in layer:
+            value_row = values[mask]
+            not_mask = ~mask
+            for last in range(size):
+                value = value_row[last]
+                if value == _INF:
+                    continue
+                rate_before_last = products[mask ^ (1 << last)]
+                settled_base = rate_before_last * costs[last]
+                outgoing_rate = rate_before_last * selectivities[last]
+                for nxt, bit, pred_mask, transfer in successors[last]:
+                    if mask & bit or pred_mask & not_mask:
+                        continue
+                    settled_term = settled_base + outgoing_rate * transfer
+                    candidate = value if value >= settled_term else settled_term
+                    next_mask = mask | bit
+                    next_row = values[next_mask]
+                    if next_row is None:
+                        next_row = values[next_mask] = [_INF] * size
+                        parents[next_mask] = [-1] * size
+                        next_layer.append(next_mask)
+                    if candidate < next_row[nxt]:
+                        if next_row[nxt] == _INF:
+                            reached += 1
+                        next_row[nxt] = candidate
+                        parents[next_mask][nxt] = last
+                        improved += 1
+        next_layer.sort()
+        return next_layer, reached, improved
+
+    def completion_terms(self, rates_before: Sequence[float]) -> list[float]:
+        """Final-stage terms ``rate * c_i + rate * sigma_i * sink_i`` per service."""
+        return [
+            rate * cost + rate * sigma * outgoing
+            for rate, cost, sigma, outgoing in zip(
+                rates_before, self.costs, self.selectivities, self.sink
+            )
+        ]
+
     # -- residual (epsilon-bar) bounds --------------------------------------
 
     def residual_parts(
@@ -342,12 +513,11 @@ class PlanEvaluator:
 
 
 class PrefixState:
-    """An immutable plan prefix with O(1) extension.
+    """An immutable plan prefix with O(1) extension — the library's one
+    Eq. 1 prefix representation.
 
-    Unlike :class:`repro.core.plan.PartialPlan` (the validated public prefix
-    API, which copies its order and prefix-product tuples on every extension),
-    a ``PrefixState`` stores only the O(1) quantities the searches actually
-    consult — the last service, its input rate, the output rate, the running
+    A ``PrefixState`` stores only the O(1) quantities the searches consult —
+    the last service, its input rate, the output rate, the running
     bottleneck maximum ``ε`` and its position — plus a parent link from which
     the full order is reconstructed on demand (only when a plan is recorded).
     ``placed`` is a bitmask, so membership and precedence tests are integer

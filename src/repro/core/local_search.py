@@ -10,25 +10,18 @@ Both operate on complete plans and explore *swap* (exchange two positions) and
 *relocate/insert* (move one service to another position) neighbourhoods,
 rejecting neighbours that violate precedence constraints.
 
-Both run on the evaluation kernel (:mod:`repro.core.evaluation`): a
-:class:`~repro.core.evaluation.NeighborhoodEvaluator` around the current plan
-re-scores only the window of positions a move touches, and hill climbing
-passes its running best as the incumbent bound so a worse neighbour is
-abandoned the moment its partial maximum meets it.  Delta costs are
-bit-identical to from-scratch :func:`repro.core.cost_model.bottleneck_cost`
-evaluation and the neighbour enumeration order and random streams are
-unchanged, so from a given starting plan both heuristics walk exactly the
-trajectory a from-scratch-scoring implementation would — only faster.
-
-On the vector kernel (:mod:`repro.core.vector`) each hill-climbing step
-generates and scores the *entire* swap/relocate neighbourhood as one
-``moves × services`` matrix (:meth:`~repro.core.vector.BatchEvaluator.best_neighbor`).
-The move table enumerates swaps then relocates in the scalar loops' order and
-``argmin`` returns the first move attaining the minimum — the same winner the
-scalar running-strict-improvement scan keeps — so both kernels walk the
-identical descent trajectory.  Simulated annealing stays on the scalar delta
-path by construction: its seeded trajectory scores one sequentially-drawn
-proposal at a time, which is exactly the shape batching cannot help.
+Hill climbing is written once against the kernel contract
+(:func:`repro.core.vector.evaluation_kernel`): ``cost`` scores the start,
+then ``best_neighbor`` returns the steepest improving swap/relocate move
+until there is none.  The scalar kernel scans the moves by delta evaluation
+with the running best as the incumbent bound; the vector kernel scores the
+whole neighbourhood as one matrix.  Both enumerate swaps then relocates in
+the same order and keep the first move attaining the minimum, with
+bit-identical costs, so both walk the identical descent trajectory.
+Simulated annealing uses the scalar
+:class:`~repro.core.evaluation.NeighborhoodEvaluator` directly: its seeded
+trajectory scores one sequentially-drawn proposal at a time, which is
+exactly the shape batching cannot help.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ from dataclasses import dataclass
 from repro.core.greedy import GreedyOptimizer, GreedyStrategy
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import batch_evaluator, resolve_kernel
+from repro.core.vector import evaluation_kernel
 from repro.utils.timing import Stopwatch
 
 __all__ = [
@@ -75,79 +68,32 @@ class HillClimbingOptimizer:
     name = "hill_climbing"
 
     def __init__(
-        self,
-        max_iterations: int = 1000,
-        seed: int = 0,
-        kernel: str | None = None,
-        fast_math: bool = False,
+        self, max_iterations: int = 1000, seed: int = 0, kernel: str | None = None
     ) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         self.max_iterations = max_iterations
         self.seed = seed
         self.kernel = kernel
-        self.fast_math = fast_math
 
     def optimize(self, problem: OrderingProblem) -> OptimizationResult:
         """Improve a greedy plan until no neighbour is better (or iterations run out)."""
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
-        evaluator = problem.evaluator()
-        kernel = resolve_kernel(self.kernel, problem.size)
+        kernel = evaluation_kernel(problem, self.kernel)
         current = _initial_order(problem, self.seed)
-
-        if kernel == "vector":
-            batch = batch_evaluator(evaluator, self.fast_math)
-            current_cost = float(batch.score_orders([current])[0])
-            stats.plans_evaluated += 1
-            for _ in range(self.max_iterations):
-                stats.nodes_expanded += 1
-                neighbour, cost, evaluated = batch.best_neighbor(current, current_cost)
-                stats.plans_evaluated += evaluated
-                if neighbour is None:
-                    break
-                current = neighbour
-                current_cost = cost
-                stats.incumbent_updates += 1
-        else:
-            neighborhood = evaluator.neighborhood(current)
-            current_cost = neighborhood.cost
-            stats.plans_evaluated += 1
-            size = len(current)
-            for _ in range(self.max_iterations):
-                stats.nodes_expanded += 1
-                best_neighbour: tuple[int, ...] | None = None
-                best_cost = current_cost
-                # Swap moves, then relocate moves, in the fixed enumeration order
-                # of the original implementation; the running best is the
-                # incumbent bound, so most non-improving moves abandon early.
-                for i in range(size):
-                    for j in range(i + 1, size):
-                        if not neighborhood.swap_feasible(i, j):
-                            continue
-                        cost = neighborhood.swap_cost(i, j, best_cost)
-                        stats.plans_evaluated += 1
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_neighbour = neighborhood.swapped(i, j)
-                for i in range(size):
-                    for j in range(size):
-                        if i == j:
-                            continue
-                        if not neighborhood.relocate_feasible(i, j):
-                            continue
-                        cost = neighborhood.relocate_cost(i, j, best_cost)
-                        stats.plans_evaluated += 1
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_neighbour = neighborhood.relocated(i, j)
-                if best_neighbour is None:
-                    break
-                current = best_neighbour
-                current_cost = best_cost
-                neighborhood = evaluator.neighborhood(current)
-                stats.incumbent_updates += 1
-        stats.extra["kernel"] = kernel
+        current_cost = kernel.cost(current)
+        stats.plans_evaluated += 1
+        for _ in range(self.max_iterations):
+            stats.nodes_expanded += 1
+            neighbour, cost, evaluated = kernel.best_neighbor(current, current_cost)
+            stats.plans_evaluated += evaluated
+            if neighbour is None:
+                break
+            current = neighbour
+            current_cost = cost
+            stats.incumbent_updates += 1
+        stats.extra["kernel"] = kernel.kernel_name
         stats.elapsed_seconds = stopwatch.stop()
         plan = problem.plan(current)
         return OptimizationResult(

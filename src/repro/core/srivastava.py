@@ -29,7 +29,6 @@ costs — it is generally sub-optimal; quantifying that gap is experiment E4.
 
 from __future__ import annotations
 
-from repro.core.plan import PartialPlan
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
 from repro.exceptions import OptimizationError
@@ -65,7 +64,7 @@ class SrivastavaOptimizer:
         """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
-        partial = PartialPlan.empty(problem)
+        partial = problem.evaluator().root()
         while not partial.is_complete:
             candidates = partial.allowed_extensions()
             if not candidates:

@@ -1,21 +1,21 @@
-"""The vectorized batch-evaluation kernel (optional numpy fast path).
+"""The vectorized kernel (optional numpy fast path) and kernel selection.
 
-The incremental kernel (:mod:`repro.core.evaluation`) made every optimizer
-fast by sharing state between candidates, but it still scores candidates one
-at a time in pure-Python loops over flat arrays — exactly the shape numpy
-eats.  This module scores an entire candidate *set* in one call:
+Every optimizer is written once against a small kernel contract with two
+implementations: the scalar :class:`~repro.core.evaluation.PlanEvaluator`
+(pure Python, always available) and :class:`BatchEvaluator` here, which
+scores an entire candidate *set* per call with numpy:
 
-* :meth:`BatchEvaluator.score_orders` — a matrix of complete plans
-  (``candidates x services``) evaluated as a handful of array operations,
-* :meth:`BatchEvaluator.score_front` — every feasible one-service extension
-  of a whole beam front of :class:`~repro.core.evaluation.PrefixState`
-  objects (the per-level work of beam search),
-* :meth:`BatchEvaluator.best_neighbor` — the full swap/relocate
-  neighbourhood of a base plan, generated *and* scored without a Python
-  loop over moves (the per-step work of hill climbing),
-* :meth:`BatchEvaluator.transition_terms` — the settled-term matrix of a
-  batch of ``(mask, last)`` dynamic-programming states (the per-layer work
-  of the subset DP).
+* ``score_front(front, final)`` — every feasible one-service extension of a
+  beam front of :class:`~repro.core.evaluation.PrefixState` objects, as flat
+  ``(parents, extensions, epsilons)`` in generation order;
+* ``rank(values)`` — a stable ascending ranking of those epsilons;
+* ``cost(order)`` and ``best_neighbor(order, bound)`` — one complete plan,
+  and the steepest improving swap/relocate move around it;
+* ``dp_tables`` / ``relax_layer`` / ``completion_terms`` — one popcount
+  layer of the subset DP (here built on :meth:`BatchEvaluator.transition_terms`).
+
+:meth:`BatchEvaluator.score_orders` additionally scores a matrix of complete
+plans in a handful of array operations.
 
 Bit-identity with the scalar kernel
 -----------------------------------
@@ -27,24 +27,28 @@ keeps the scalar kernel's exact shapes (``rate * c + (rate * sigma) * t``,
 rates as a left-to-right multiplication chain) and returns *the same float,
 bit for bit*, as the scalar kernel and hence as
 :func:`repro.core.cost_model.bottleneck_cost`.  The property-based tests
-assert this with ``==``.  The one exception is :attr:`BatchEvaluator.fast_math`
-(off by default), which permits the factored form ``rate * (c + sigma * t)``
-— one multiplication fewer per term, but a reassociation whose result is
-only approximately equal.
+assert this with ``==``, and the optimizers return the same plans and
+search statistics on both kernels.
 
-Kernel selection
-----------------
+Kernel selection and thread safety
+----------------------------------
 
-numpy is an **optional** dependency (``pip install repro[fast]``): every
-consumer falls back to the scalar kernel when it is missing.  Which kernel
-runs is resolved by :func:`resolve_kernel` from, in order of precedence: an
-explicit per-call/per-optimizer request, :func:`set_default_kernel` (which
-also exports ``REPRO_KERNEL`` so optimizer-pool and portfolio worker
-processes inherit the choice), the ``REPRO_KERNEL`` environment variable,
-and finally ``auto`` — the vector kernel when numpy is importable *and* the
-instance is big enough to win (``size >= AUTO_MIN_SIZE``; below that, numpy
-call overhead dominates and the scalar kernel is faster).  Requesting
-``vector`` without numpy raises a clean :class:`~repro.exceptions.KernelError`.
+numpy is an **optional** dependency (``pip install repro[fast]``): without
+it everything runs on the scalar kernel.  :func:`evaluation_kernel` hands an
+optimizer run its kernel; it is the only code that turns a kernel name into
+a kernel.  The name is resolved by :func:`resolve_kernel` from, in order of
+precedence: an explicit per-call/per-optimizer request,
+:func:`set_default_kernel` (which also exports ``REPRO_KERNEL`` so
+optimizer-pool and portfolio worker processes inherit the choice), the
+``REPRO_KERNEL`` environment variable, and finally ``auto`` — the vector
+kernel when numpy is importable *and* the instance is big enough to win
+(``size >= AUTO_MIN_SIZE``; below that, numpy call overhead dominates and
+the scalar kernel is faster).  Requesting ``vector`` without numpy raises a
+clean :class:`~repro.exceptions.KernelError`.  The read-only arrays and the
+move table are built once per problem and shared; each optimizer run gets
+its own :class:`BatchEvaluator` and hence its own scratch workspaces, so
+portfolio members racing on threads over one problem never share mutable
+state.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ try:  # numpy is optional: the scalar kernel is the always-available fallback.
 except ImportError:  # pragma: no cover - exercised via the no-numpy tests
     np = None  # type: ignore[assignment]
 
+from repro.core.evaluation import kernel_profile
 from repro.exceptions import KernelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,6 +74,7 @@ __all__ = [
     "MAX_VECTOR_SIZE",
     "BatchEvaluator",
     "batch_evaluator",
+    "evaluation_kernel",
     "numpy_available",
     "default_kernel",
     "set_default_kernel",
@@ -89,6 +95,12 @@ MAX_VECTOR_SIZE = 62
 are held in int64 arrays (the scalar kernel's Python ints are unbounded)."""
 
 _ENV_VAR = "REPRO_KERNEL"
+
+_INF = float("inf")
+
+_DP_CHUNK_MASKS = 4096
+"""Masks per batched chunk of a DP layer, bounding the transient term and
+candidate matrices to a few tens of MB at the largest supported n."""
 
 _default_kernel: str | None = None
 """In-process override set by :func:`set_default_kernel` (wins over the env var)."""
@@ -181,42 +193,47 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
 def prepare_kernel(problem: "OrderingProblem") -> str:
     """Warm the kernel a problem will be scored with; returns its name.
 
-    Builds the problem's (cached) scalar evaluator, plus the shared
-    :class:`BatchEvaluator` when the resolved kernel is ``vector`` — so a
-    long-lived holder of the problem (an optimizer-pool worker's warm cache,
-    a portfolio about to race several members over one instance) pays the
-    array extraction once, and every subsequent batch call on the instance
-    shares the same vectorized scorer.
+    Builds the problem's (cached) scalar evaluator, plus its shared read-only
+    numpy arrays when the resolved kernel is ``vector`` — so a long-lived
+    holder of the problem (an optimizer-pool worker's warm cache, a portfolio
+    about to race several members over one instance) pays the array
+    extraction once, and every optimizer run on the instance starts from it.
     """
     evaluator = problem.evaluator()
     kernel = resolve_kernel(size=problem.size)
     if kernel == "vector":
-        batch_evaluator(evaluator)
+        _shared_arrays(evaluator)
     return kernel
 
 
-def batch_evaluator(evaluator: "PlanEvaluator", fast_math: bool = False) -> "BatchEvaluator":
-    """The (cached) :class:`BatchEvaluator` bound to ``evaluator``.
+def evaluation_kernel(
+    problem: "OrderingProblem", name: str | None = None, vector_limit: int = MAX_VECTOR_SIZE
+) -> "PlanEvaluator | BatchEvaluator":
+    """The kernel one optimizer run scores through — the only reader of a kernel name.
 
-    One instance per ``(evaluator, fast_math)`` is shared by every consumer —
-    beam fronts, neighbourhoods and DP layers of the same problem all score
-    through the same pre-extracted arrays and precomputed move tables.
+    ``name`` is resolved by :func:`resolve_kernel`; a problem larger than
+    ``vector_limit`` stays on the scalar kernel (an optimizer whose vector
+    path has a tighter memory bound than :data:`MAX_VECTOR_SIZE`).  The
+    scalar kernel is the problem's cached, stateless
+    :class:`~repro.core.evaluation.PlanEvaluator`; the vector kernel is a
+    fresh :class:`BatchEvaluator` — its workspaces belong to this run alone,
+    so optimizers racing on threads over one problem never share one.
     """
-    cache = evaluator.batch_cache
-    if cache is None:
-        cache = evaluator.batch_cache = {}
-    batch = cache.get(fast_math)
-    if batch is None:
-        batch = cache[fast_math] = BatchEvaluator(evaluator, fast_math=fast_math)
-    return batch
+    evaluator = problem.evaluator()
+    if resolve_kernel(name, problem.size) == "vector" and problem.size <= vector_limit:
+        return BatchEvaluator(evaluator)
+    return evaluator
+
+
+def batch_evaluator(evaluator: "PlanEvaluator") -> "BatchEvaluator":
+    """A :class:`BatchEvaluator` over ``evaluator``'s shared arrays, with its own workspaces."""
+    return BatchEvaluator(evaluator)
 
 
 def _count_batch(amount: int) -> None:
     """Profile hook: one counter bump of ``amount`` per batch call, so
     observability overhead does not scale with the batch size."""
-    from repro.core import evaluation
-
-    profile = evaluation.kernel_profile()
+    profile = kernel_profile()
     if profile is not None:
         profile.batch_evaluations += amount
 
@@ -224,36 +241,82 @@ def _count_batch(amount: int) -> None:
 # -- the batch evaluator ----------------------------------------------------
 
 
-class BatchEvaluator:
-    """Vectorized candidate-set scoring bound to one scalar evaluator.
+class _SharedArrays:
+    """The read-only numpy views of one evaluator, built once per problem.
 
-    Like :class:`~repro.core.evaluation.PlanEvaluator` it never validates:
-    callers feed candidate sets their search structure guarantees to be
-    permutations (feasibility *is* checked where the method generates the
-    candidates itself).  Construction requires numpy; use
-    :func:`resolve_kernel` first and keep scalar fallbacks.
+    Cached on the evaluator and shared by every :class:`BatchEvaluator`
+    bound to it; nothing here is written after construction except the
+    lazily-built move table, which is published by one assignment.
     """
+
+    __slots__ = (
+        "costs",
+        "selectivities",
+        "rows",
+        "rows_flat",
+        "sink",
+        "predecessor_masks",
+        "has_precedence",
+        "service_bits",
+        "moves",
+    )
+
+    def __init__(self, evaluator: "PlanEvaluator") -> None:
+        size = evaluator.size
+        self.costs = np.array(evaluator.costs, dtype=np.float64)
+        self.selectivities = np.array(evaluator.selectivities, dtype=np.float64)
+        self.rows = np.array(evaluator.rows, dtype=np.float64)
+        self.rows_flat = np.ascontiguousarray(self.rows).reshape(-1)
+        self.sink = np.array(evaluator.sink, dtype=np.float64)
+        self.has_precedence = evaluator.predecessor_masks is not None
+        masks = evaluator.predecessor_masks if self.has_precedence else (0,) * size
+        self.predecessor_masks = np.array(masks, dtype=np.int64)
+        self.service_bits = np.int64(1) << np.arange(size, dtype=np.int64)
+        self.moves: "np.ndarray | None" = None
+
+
+def _shared_arrays(evaluator: "PlanEvaluator") -> _SharedArrays:
+    shared = evaluator.vector_arrays
+    if shared is None:
+        shared = evaluator.vector_arrays = _SharedArrays(evaluator)
+    return shared
+
+
+class BatchEvaluator:
+    """The vector kernel: candidate-set scoring bound to one scalar evaluator.
+
+    Implements the same kernel contract as
+    :class:`~repro.core.evaluation.PlanEvaluator` (``score_front``,
+    ``rank``, ``cost``, ``best_neighbor``, ``dp_tables``/``relax_layer``/
+    ``completion_terms``) with numpy array operations.  The arrays are
+    shared per problem; the scratch workspaces are this instance's own, so
+    one instance must not be used from two threads at once — which
+    :func:`evaluation_kernel` guarantees by building one per optimizer run.
+    Like the scalar evaluator it never validates: callers feed candidate
+    sets their search structure guarantees to be permutations (feasibility
+    *is* checked where the method generates the candidates itself).
+    Construction requires numpy; use :func:`resolve_kernel` first.
+    """
+
+    kernel_name = "vector"
 
     __slots__ = (
         "evaluator",
         "size",
-        "fast_math",
+        "shared",
         "costs",
         "selectivities",
         "rows",
         "sink",
         "predecessor_masks",
         "has_precedence",
-        "_move_gather",
-        "_move_list",
-        "_swap_count",
         "_rows_flat",
         "_service_bits",
         "_order_ws",
         "_front_ws",
     )
 
-    def __init__(self, evaluator: "PlanEvaluator", fast_math: bool = False) -> None:
+    def __init__(self, evaluator: "PlanEvaluator") -> None:
         if np is None:
             raise KernelError(
                 "the vector kernel requires numpy, which is not installed; "
@@ -264,21 +327,18 @@ class BatchEvaluator:
                 f"the vector kernel supports at most {MAX_VECTOR_SIZE} services "
                 f"(int64 feasibility bitmasks), the problem has {evaluator.size}"
             )
+        shared = _shared_arrays(evaluator)
         self.evaluator = evaluator
         self.size = evaluator.size
-        self.fast_math = fast_math
-        self.costs = np.array(evaluator.costs, dtype=np.float64)
-        self.selectivities = np.array(evaluator.selectivities, dtype=np.float64)
-        self.rows = np.array(evaluator.rows, dtype=np.float64)
-        self.sink = np.array(evaluator.sink, dtype=np.float64)
-        self.has_precedence = evaluator.predecessor_masks is not None
-        masks = evaluator.predecessor_masks if self.has_precedence else (0,) * self.size
-        self.predecessor_masks = np.array(masks, dtype=np.int64)
-        self._move_gather = None
-        self._move_list: list[tuple[int, int]] | None = None
-        self._swap_count = 0
-        self._rows_flat = np.ascontiguousarray(self.rows).reshape(-1)
-        self._service_bits = np.int64(1) << np.arange(self.size, dtype=np.int64)
+        self.shared = shared
+        self.costs = shared.costs
+        self.selectivities = shared.selectivities
+        self.rows = shared.rows
+        self.sink = shared.sink
+        self.predecessor_masks = shared.predecessor_masks
+        self.has_precedence = shared.has_precedence
+        self._rows_flat = shared.rows_flat
+        self._service_bits = shared.service_bits
         # Single-slot workspaces: batch scoring is dominated by allocating
         # (batch, size) temporaries (fresh pages each call), and real callers
         # reuse one batch shape over and over — a hill climb always scores the
@@ -344,18 +404,16 @@ class BatchEvaluator:
             np.add(flat_idx, orders[:, 1:], out=flat_idx)
             np.take(self._rows_flat, flat_idx, out=outgoing[:, :-1])
         np.take(self.sink, orders[:, -1], out=outgoing[:, -1])
-        if self.fast_math:
-            # Factored: one multiplication fewer per element, but reassociated
-            # — only approximately equal to the scalar kernel.
-            np.multiply(sel_seq, outgoing, out=sel_seq)
-            np.add(cost_seq, sel_seq, out=cost_seq)
-            np.multiply(rates, cost_seq, out=cost_seq)
-        else:
-            np.multiply(rates, cost_seq, out=cost_seq)
-            np.multiply(rates, sel_seq, out=sel_seq)
-            np.multiply(sel_seq, outgoing, out=sel_seq)
-            np.add(cost_seq, sel_seq, out=cost_seq)
+        np.multiply(rates, cost_seq, out=cost_seq)
+        np.multiply(rates, sel_seq, out=sel_seq)
+        np.multiply(sel_seq, outgoing, out=sel_seq)
+        np.add(cost_seq, sel_seq, out=cost_seq)
         return cost_seq.max(axis=1)
+
+    def cost(self, order: Sequence[int]) -> float:
+        """Bottleneck cost of one complete plan: the scalar loop is the
+        cheaper (and bit-identical) way to score a single order."""
+        return self.evaluator.cost(order)
 
     def feasible_orders(self, orders) -> "np.ndarray":
         """Boolean mask: which rows of ``orders`` satisfy the precedence DAG."""
@@ -387,97 +445,83 @@ class BatchEvaluator:
         produces them in.  Each epsilon is bit-identical to
         ``front[parent].extend(extension).epsilon``.
         """
-        size = self.size
-        count = len(front)
-        last = np.fromiter((state.last for state in front), dtype=np.intp, count=count)
-        rate = np.fromiter((state.rate for state in front), dtype=np.float64, count=count)
-        output_rate = np.fromiter(
-            (state.output_rate for state in front), dtype=np.float64, count=count
-        )
-        settled_max = np.fromiter(
-            (state.settled_max for state in front), dtype=np.float64, count=count
-        )
-        placed = np.fromiter((state.placed for state in front), dtype=np.int64, count=count)
-        terms, partial, gathered, feasible, bit_scratch = self._front_workspace(count)
+        # Two conversions instead of one per field: gathering the front is a
+        # large share of a small front's cost.
+        last, placed = np.array(
+            [(state.last, state.placed) for state in front], dtype=np.int64
+        ).T
+        rate, output_rate, settled_max = np.array(
+            [(state.rate, state.output_rate, state.settled_max) for state in front],
+            dtype=np.float64,
+        ).T
+        terms, partial, gathered, feasible, bit_scratch = self._front_workspace(len(front))
 
         np.bitwise_and(placed[:, None], self._service_bits, out=bit_scratch)
         np.equal(bit_scratch, 0, out=feasible)
         if self.has_precedence:
             feasible &= (self.predecessor_masks[None, :] & ~placed[:, None]) == 0
-        _count_batch(int(feasible.sum()))
 
         # The parent's last term settles: rate * c_last + (rate * sigma_last) * t.
         # Every in-place ufunc keeps the scalar expression's association, so
         # the workspace buys speed, not drift.
         if last.min(initial=0) >= 0:
             np.take(self.rows, last, axis=0, out=gathered)
-            if self.fast_math:
-                np.multiply(self.selectivities[last][:, None], gathered, out=terms)
-                np.add(self.costs[last][:, None], terms, out=terms)
-                np.multiply(rate[:, None], terms, out=terms)
-            else:
-                np.multiply((rate * self.selectivities[last])[:, None], gathered, out=terms)
-                np.add((rate * self.costs[last])[:, None], terms, out=terms)
+            np.multiply((rate * self.selectivities[last])[:, None], gathered, out=terms)
+            np.add((rate * self.costs[last])[:, None], terms, out=terms)
             np.maximum(settled_max[:, None], terms, out=terms)
         else:
             # Roots have no last service: nothing settles, the running max
             # carries.  Only the first beam level lands here; stay simple.
             has_last = last >= 0
             anchor = np.where(has_last, last, 0)
-            if self.fast_math:
-                settled = rate[:, None] * (
-                    self.costs[anchor][:, None]
-                    + self.selectivities[anchor][:, None] * self.rows[anchor]
-                )
-            else:
-                settled = (rate * self.costs[anchor])[:, None] + (
-                    rate * self.selectivities[anchor]
-                )[:, None] * self.rows[anchor]
+            settled = (rate * self.costs[anchor])[:, None] + (
+                rate * self.selectivities[anchor]
+            )[:, None] * self.rows[anchor]
             np.maximum(settled_max[:, None], settled, out=terms)
             terms[~has_last] = settled_max[~has_last, None]
 
         # The new service's partial term (full term, with sink, when final).
         if final:
-            if self.fast_math:
-                partial[:] = output_rate[:, None] * (
-                    self.costs[None, :] + self.selectivities[None, :] * self.sink[None, :]
-                )
-            else:
-                np.multiply(output_rate[:, None], self.selectivities[None, :], out=partial)
-                np.multiply(partial, self.sink[None, :], out=partial)
-                np.multiply(output_rate[:, None], self.costs[None, :], out=gathered)
-                np.add(gathered, partial, out=partial)
+            np.multiply(output_rate[:, None], self.selectivities[None, :], out=partial)
+            np.multiply(partial, self.sink[None, :], out=partial)
+            np.multiply(output_rate[:, None], self.costs[None, :], out=gathered)
+            np.add(gathered, partial, out=partial)
         else:
             np.multiply(output_rate[:, None], self.costs[None, :], out=partial)
         np.maximum(terms, partial, out=terms)
 
         parents, extensions = np.nonzero(feasible)
+        _count_batch(len(parents))
         return parents, extensions, terms[parents, extensions]
+
+    @staticmethod
+    def rank(values) -> list[int]:
+        """Positions of ``values`` in ascending order, ties in input order."""
+        return np.argsort(values, kind="stable").tolist()
 
     # -- swap/relocate neighbourhoods ---------------------------------------
 
-    def _moves(self) -> "tuple[np.ndarray, list[tuple[int, int]], int]":
-        """The neighbourhood's gather table, built once per evaluator.
+    def _moves(self) -> "np.ndarray":
+        """The neighbourhood's gather table, built once per problem.
 
         Row ``m`` maps candidate positions to base positions: applying move
         ``m`` to a base order is one fancy-indexing ``base[gather[m]]``.
-        Moves are enumerated exactly like the scalar hill climber: swaps
+        Moves are enumerated exactly like the scalar
+        :meth:`~repro.core.evaluation.PlanEvaluator.best_neighbor`: swaps
         ``(i, j)`` with ``i < j`` first, then relocates ``(i, j)`` with
         ``i != j`` — so "first index attaining the minimum" means the same
         move in both kernels.
         """
-        if self._move_gather is None:
+        moves = self.shared.moves
+        if moves is None:
             size = self.size
             identity = list(range(size))
             gathers: list[list[int]] = []
-            moves: list[tuple[int, int]] = []
             for i in range(size):
                 for j in range(i + 1, size):
                     row = identity.copy()
                     row[i], row[j] = row[j], row[i]
                     gathers.append(row)
-                    moves.append((i, j))
-            swap_count = len(moves)
             for i in range(size):
                 for j in range(size):
                     if i == j:
@@ -485,18 +529,13 @@ class BatchEvaluator:
                     row = identity.copy()
                     row.insert(j, row.pop(i))
                     gathers.append(row)
-                    moves.append((i, j))
-            self._move_gather = np.array(gathers, dtype=np.intp)
-            self._move_list = moves
-            self._swap_count = swap_count
-        assert self._move_list is not None
-        return self._move_gather, self._move_list, self._swap_count
+            moves = self.shared.moves = np.array(gathers, dtype=np.intp)
+        return moves
 
     def neighborhood_orders(self, order: Sequence[int]) -> "np.ndarray":
         """All swap/relocate candidates of ``order`` as a ``(moves, size)`` matrix."""
-        gather, _, _ = self._moves()
         base = np.asarray(order, dtype=np.intp)
-        return base[gather]
+        return base[self._moves()]
 
     def best_neighbor(
         self, order: Sequence[int], bound: float
@@ -537,10 +576,6 @@ class BatchEvaluator:
         rates_before = np.asarray(rates_before, dtype=np.float64)
         lasts = np.asarray(lasts, dtype=np.intp)
         _count_batch(len(lasts))
-        if self.fast_math:
-            return rates_before[:, None] * (
-                self.costs[lasts][:, None] + self.selectivities[lasts][:, None] * self.rows[lasts]
-            )
         return (rates_before * self.costs[lasts])[:, None] + (
             rates_before * self.selectivities[lasts]
         )[:, None] * self.rows[lasts]
@@ -549,9 +584,73 @@ class BatchEvaluator:
         """Final-stage terms ``rate * c_i + (rate * sigma_i) * sink_i`` per service."""
         rates_before = np.asarray(rates_before, dtype=np.float64)
         _count_batch(len(rates_before))
-        if self.fast_math:
-            return rates_before * (self.costs + self.selectivities * self.sink)
         return rates_before * self.costs + (rates_before * self.selectivities) * self.sink
 
+    def dp_tables(self, products: Sequence[float]):
+        """Dense ``(2^n, n)`` value/parent tables and the subset products as arrays."""
+        cells = (1 << self.size, self.size)
+        return (
+            np.full(cells, _INF, dtype=np.float64),
+            np.full(cells, -1, dtype=np.int32),
+            np.asarray(products, dtype=np.float64),
+        )
+
+    def relax_layer(self, values, parents, products, layer) -> "tuple[np.ndarray, int, int]":
+        """Relax every state of one popcount layer; see
+        :meth:`~repro.core.evaluation.PlanEvaluator.relax_layer`.
+
+        The layer's ``(mask, last)`` states become one settled-term matrix
+        (:meth:`transition_terms`) per chunk of masks, and grouped
+        ``minimum.reduceat`` reductions write every next-layer cell.  Each
+        target cell ``(mask | bit(next), next)`` has a unique source mask, so
+        its value is a min over one group, and taking the first row of the
+        group attaining it reproduces the scalar strict-improvement parent
+        (last ascending).  Every write reaches a new cell, so the write count
+        is returned for both ``reached`` and ``improved``.
+        """
+        layer = np.asarray(layer, dtype=np.int64)
+        bits = self._service_bits
+        reached = 0
+        next_masks: list[np.ndarray] = []
+        for start in range(0, layer.size, _DP_CHUNK_MASKS):
+            chunk = layer[start : start + _DP_CHUNK_MASKS]
+            value_rows = values[chunk]
+            # Row-major nonzero: states come out (mask ascending, last
+            # ascending) — the order the parent tie-break relies on.
+            group_ids, lasts = np.nonzero(np.isfinite(value_rows))
+            state_values = value_rows[group_ids, lasts]
+            state_masks = chunk[group_ids]
+            rates_before = products[state_masks ^ (np.int64(1) << lasts)]
+            terms = self.transition_terms(rates_before, lasts)
+            candidates = np.maximum(state_values[:, None], terms)
+
+            # Every chunk mask has at least one finite state (it was
+            # reached), so group g of the reduceat output is chunk[g].
+            starts = np.flatnonzero(np.concatenate(([True], group_ids[1:] != group_ids[:-1])))
+            mins = np.minimum.reduceat(candidates, starts, axis=0)
+            # First state row attaining each group minimum = the scalar
+            # strict-improvement winner (lasts ascend within a mask).
+            row_index = np.arange(len(group_ids))
+            hits = np.where(candidates == mins[group_ids], row_index[:, None], len(group_ids))
+            first_rows = np.minimum.reduceat(hits, starts, axis=0)
+            winning_last = lasts[np.minimum(first_rows, len(group_ids) - 1)]
+
+            feasible = ((chunk[:, None] & bits[None, :]) == 0) & (
+                (self.predecessor_masks[None, :] & ~chunk[:, None]) == 0
+            )
+            target_rows, target_cols = np.nonzero(feasible)
+            if not target_rows.size:
+                continue
+            target_masks = chunk[target_rows] | bits[target_cols]
+            # Each target cell has a unique source mask, so these writes
+            # never collide — plain scatter assignment is the full relax.
+            values[target_masks, target_cols] = mins[target_rows, target_cols]
+            parents[target_masks, target_cols] = winning_last[target_rows, target_cols]
+            reached += target_rows.size
+            next_masks.append(target_masks)
+        if not next_masks:
+            return np.array([], dtype=np.int64), 0, 0
+        return np.unique(np.concatenate(next_masks)), reached, reached
+
     def __repr__(self) -> str:
-        return f"BatchEvaluator(size={self.size}, fast_math={self.fast_math})"
+        return f"BatchEvaluator(size={self.size})"

@@ -552,7 +552,9 @@ class PlanService:
             positions, algorithm, optimal, leader = yield from self._optimize_cold(
                 problem, budget_seconds, fingerprint
             )
-        except ReproError:
+        except Exception:
+            # Every exception fails the request (the front end answers 500),
+            # not only the typed ones.
             self.metrics.record_failure()
             raise
         order = fingerprint.from_positions(positions)
@@ -706,7 +708,7 @@ class PlanService:
                 positions, algorithm, optimal, leader = yield from self._optimize_cold(
                     problems[leader_index], budget_seconds, fingerprints[leader_index]
                 )
-            except ReproError:
+            except Exception:
                 self.metrics.record_failure()
                 raise
             latency = stopwatch.stop()

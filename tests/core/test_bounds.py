@@ -6,12 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from repro.core import PartialPlan, epsilon_bar, initial_upper_bound, max_residual_cost
+from repro.core import epsilon_bar, initial_upper_bound, max_residual_cost
 
 
 class TestResidualBound:
     def test_bound_is_zero_for_complete_plans(self, three_service_problem):
-        partial = PartialPlan.from_order(three_service_problem, (0, 1, 2))
+        partial = three_service_problem.evaluator().prefix((0, 1, 2))
         assert epsilon_bar(partial) == 0.0
 
     def test_bound_covers_every_completion(self, make_random_problem):
@@ -20,7 +20,7 @@ class TestResidualBound:
             problem = make_random_problem(5, seed)
             for prefix_length in range(1, 5):
                 prefix = tuple(range(prefix_length))
-                partial = PartialPlan.from_order(problem, prefix)
+                partial = problem.evaluator().prefix(prefix)
                 bound = max(partial.epsilon, epsilon_bar(partial))
                 remaining = [index for index in range(5) if index not in prefix]
                 for completion in permutations(remaining):
@@ -32,7 +32,7 @@ class TestResidualBound:
         for seed in range(15):
             problem = make_random_problem(5, seed, selectivity_range=(0.3, 2.0))
             prefix = (0, 1)
-            partial = PartialPlan.from_order(problem, prefix)
+            partial = problem.evaluator().prefix(prefix)
             bound = max(partial.epsilon, epsilon_bar(partial))
             remaining = [index for index in range(5) if index not in prefix]
             for completion in permutations(remaining):
@@ -45,7 +45,7 @@ class TestResidualBound:
         for seed in range(40):
             problem = make_random_problem(5, seed)
             for prefix in permutations(range(5), 3):
-                partial = PartialPlan.from_order(problem, prefix)
+                partial = problem.evaluator().prefix(prefix)
                 if partial.epsilon < epsilon_bar(partial):
                     continue
                 closures_checked += 1
@@ -56,13 +56,13 @@ class TestResidualBound:
         assert closures_checked > 0, "the workload never triggered a Lemma-2 closure"
 
     def test_attribution_of_critical_service(self, three_service_problem):
-        partial = PartialPlan.from_order(three_service_problem, (1,))
+        partial = three_service_problem.evaluator().prefix((1,))
         residual = max_residual_cost(partial)
         assert residual.value >= residual.last_service_bound
         assert residual.critical_service in (None, 0, 2)
 
     def test_last_service_bound_uses_worst_outgoing_transfer(self, three_service_problem):
-        partial = PartialPlan.from_order(three_service_problem, (0,))
+        partial = three_service_problem.evaluator().prefix((0,))
         residual = max_residual_cost(partial)
         # Worst outgoing transfer of WS0 to {WS1, WS2} is t(0,2)=5: bound = 2 + 0.5*5 = 4.5.
         assert residual.last_service_bound == pytest.approx(4.5)
@@ -76,7 +76,7 @@ class TestResidualBound:
 
     def test_sink_transfer_participates_in_bound(self, three_service_problem):
         problem = three_service_problem.with_sink_transfer([100.0, 100.0, 100.0])
-        partial = PartialPlan.from_order(problem, (0,))
+        partial = problem.evaluator().prefix((0,))
         # Any remaining service could end up last and pay the huge sink hop,
         # so the bound must exceed it.
         assert epsilon_bar(partial) >= 0.5 * min(problem.costs[1:])  # sanity

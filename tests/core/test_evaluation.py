@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import OrderingProblem, PrecedenceGraph
 from repro.core.bounds import max_residual_cost
 from repro.core.cost_model import bottleneck_cost, bottleneck_stage
-from repro.core.plan import PartialPlan
+from repro.core.evaluation import PrefixState
 
 # -- strategies ------------------------------------------------------------------
 
@@ -123,25 +123,23 @@ def test_prefix_extension_matches_oracle_and_is_monotone(case):
 
 @settings(max_examples=80, deadline=None)
 @given(problem_and_order(allow_precedence=True))
-def test_prefix_state_agrees_with_partial_plan(case):
-    problem, order = case
+def test_scalar_score_front_matches_prefix_extension(case):
+    problem, _ = case
     evaluator = problem.evaluator()
-    state = evaluator.root()
-    partial = PartialPlan.empty(problem)
-    for index in order:
-        assert state.allowed_extensions() == partial.allowed_extensions()
-        assert state.remaining() == partial.remaining()
-        if index not in partial.allowed_extensions() and index in partial.remaining():
-            break  # precedence forbids this order; both views agreed up to here
-        if index not in partial.remaining():
-            break
-        state = state.extend(index)
-        partial = partial.extend(index)
-        assert state.epsilon == partial.epsilon
-        assert state.bottleneck_position == partial.bottleneck_position
-        assert state.output_rate == partial.output_rate
-        assert state.last == partial.last
-        assert state.order == partial.order
+    front = [evaluator.root()]
+    for level in range(problem.size):
+        parents, extensions, epsilons = evaluator.score_front(front, level + 1 == problem.size)
+        # Same feasible children, in generation order, with the epsilon the
+        # materialized child state would carry.
+        assert list(zip(parents, extensions)) == [
+            (parent, successor)
+            for parent, state in enumerate(front)
+            for successor in state.allowed_extensions()
+        ]
+        for parent, extension, epsilon in zip(parents, extensions, epsilons):
+            assert epsilon == front[parent].extend(extension).epsilon
+        front = [front[parent].extend(extension) for parent, extension in zip(parents, extensions)]
+        front = front[:4]
 
 
 # -- delta moves -------------------------------------------------------------------
@@ -214,9 +212,9 @@ def test_move_feasibility_matches_full_validation(case, data):
 # -- residual bounds ---------------------------------------------------------------
 
 
-def _oracle_residual(partial: PartialPlan) -> float:
+def _oracle_residual(partial: PrefixState) -> float:
     """The pre-kernel from-scratch implementation of ``epsilon-bar``."""
-    problem = partial.problem
+    problem = partial.evaluator.problem
     remaining = partial.remaining()
 
     def worst_outgoing(source, candidates):
@@ -231,9 +229,8 @@ def _oracle_residual(partial: PartialPlan) -> float:
 
     last_bound = 0.0
     last = partial.last
-    if last is not None and not partial.is_complete:
-        last_rate = partial.prefix_products[-1]
-        last_bound = last_rate * (
+    if partial.length and not partial.is_complete:
+        last_bound = partial.rate * (
             problem.costs[last]
             + problem.selectivities[last] * worst_outgoing(last, remaining)
         )
@@ -262,13 +259,8 @@ def test_residual_bound_matches_from_scratch_formula(case, data):
     problem, order = case
     prefix_length = data.draw(st.integers(0, problem.size))
     prefix = order[:prefix_length]
-    partial = PartialPlan.empty(problem)
-    state = problem.evaluator().root()
-    for index in prefix:
-        partial = partial.extend(index)
-        state = state.extend(index)
-    oracle = _oracle_residual(partial)
-    assert max_residual_cost(partial).value == oracle
+    state = problem.evaluator().prefix(prefix)
+    oracle = _oracle_residual(state)
     assert max_residual_cost(state).value == oracle
     assert problem.evaluator().residual_value(state) == oracle
 
@@ -305,7 +297,7 @@ def test_predecessor_masks_reflect_constraints(constrained_problem):
 
 
 def test_prefix_state_rejects_nothing_but_stays_consistent(three_service_problem):
-    # The kernel skips validation by design; the public PartialPlan API is the
+    # The kernel skips validation by design; OrderingProblem.plan is the
     # validated boundary.  A complete prefix still round-trips to its order.
     state = three_service_problem.evaluator().prefix((2, 0, 1))
     assert state.order == (2, 0, 1)

@@ -1,10 +1,9 @@
-"""Unit tests for Plan and PartialPlan."""
+"""Unit tests for complete plans and partial plans (prefixes)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import PartialPlan
 from repro.exceptions import InvalidPlanError
 
 
@@ -47,78 +46,58 @@ class TestPlan:
 
 
 class TestPartialPlan:
+    """Partial plans (the paper's prefixes ``C``) as kernel :class:`PrefixState` objects."""
+
     def test_empty_plan(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem)
+        partial = three_service_problem.evaluator().root()
         assert partial.is_empty
-        assert partial.size == 0
+        assert partial.length == 0
         assert partial.epsilon == 0.0
         assert partial.output_rate == 1.0
         assert partial.remaining() == [0, 1, 2]
-        assert partial.last is None
+        assert partial.order == ()
 
     def test_extend_updates_rates(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem).extend(0)
+        partial = three_service_problem.evaluator().root().extend(0)
         assert partial.order == (0,)
         assert partial.output_rate == pytest.approx(0.5)
-        assert partial.prefix_products == (1.0,)
+        assert partial.rate == 1.0
         # Only the processing part counts while the successor is unknown.
         assert partial.epsilon == pytest.approx(2.0)
 
     def test_extend_settles_previous_term(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem).extend(0).extend(1)
+        partial = three_service_problem.evaluator().prefix((0, 1))
         # The term of service 0 is now settled: 2 + 0.5*t(0,1) = 2.5.
         assert partial.epsilon == pytest.approx(2.5)
         assert partial.bottleneck_position == 0
 
     def test_complete_partial_matches_problem_cost(self, three_service_problem):
         for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
-            partial = PartialPlan.from_order(three_service_problem, order)
+            partial = three_service_problem.evaluator().prefix(order)
             assert partial.is_complete
-            assert partial.epsilon == pytest.approx(three_service_problem.cost(order))
+            assert partial.epsilon == three_service_problem.cost(order)
 
     def test_epsilon_monotone_under_extension(self, make_random_problem):
         for seed in range(20):
             problem = make_random_problem(6, seed)
-            partial = PartialPlan.empty(problem)
+            partial = problem.evaluator().root()
             previous = partial.epsilon
             for index in range(6):
                 partial = partial.extend(index)
-                assert partial.epsilon >= previous - 1e-12
+                assert partial.epsilon >= previous
                 previous = partial.epsilon
 
-    def test_extend_rejects_duplicates(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem).extend(0)
-        with pytest.raises(InvalidPlanError):
-            partial.extend(0)
-
-    def test_extend_rejects_out_of_range(self, three_service_problem):
-        with pytest.raises(InvalidPlanError):
-            PartialPlan.empty(three_service_problem).extend(5)
-
     def test_allowed_extensions_respect_precedence(self, constrained_problem):
-        partial = PartialPlan.empty(constrained_problem)
+        partial = constrained_problem.evaluator().root()
         # Services 2 and 3 are blocked by their predecessors 0 and 1.
         assert partial.allowed_extensions() == [0, 1, 4]
         partial = partial.extend(0)
         assert partial.allowed_extensions() == [1, 2, 4]
 
-    def test_to_plan_requires_completion(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem).extend(0)
-        with pytest.raises(InvalidPlanError):
-            partial.to_plan()
-        full = partial.extend(1).extend(2)
-        assert full.to_plan().order == (0, 1, 2)
-
     def test_sink_transfer_included_only_in_final_term(self, three_service_problem):
         problem = three_service_problem.with_sink_transfer([0.0, 0.0, 10.0])
-        partial = PartialPlan.from_order(problem, (0, 1, 2))
-        assert partial.epsilon == pytest.approx(problem.cost((0, 1, 2)))
+        partial = problem.evaluator().prefix((0, 1, 2))
+        assert partial.epsilon == problem.cost((0, 1, 2))
         # With the expensive sink hop on service 2 the final term dominates:
         # 0.45 * (4 + 0.3 * 10) = 3.15 > 2.5.
         assert partial.epsilon == pytest.approx(3.15)
-
-    def test_extend_all_and_str(self, three_service_problem):
-        partial = PartialPlan.empty(three_service_problem).extend_all([2, 0])
-        assert partial.order == (2, 0)
-        assert "WS2" in str(partial)
-        assert str(PartialPlan.empty(three_service_problem)) == "(empty)"

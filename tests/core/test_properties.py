@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import (
     CommunicationCostMatrix,
     OrderingProblem,
-    PartialPlan,
     branch_and_bound,
     dynamic_programming,
     epsilon_bar,
@@ -86,7 +85,7 @@ def test_pruning_rules_never_change_the_optimum(problem, use_lemma2, use_lemma3)
 def test_lemma1_epsilon_is_monotone(problem, rng):
     order = list(range(problem.size))
     rng.shuffle(order)
-    partial = PartialPlan.empty(problem)
+    partial = problem.evaluator().root()
     previous = partial.epsilon
     for index in order:
         partial = partial.extend(index)
@@ -104,7 +103,7 @@ def test_epsilon_is_a_lower_bound_for_every_completion(problem, rng):
     rng.shuffle(order)
     prefix_length = rng.randint(1, problem.size)
     prefix = order[:prefix_length]
-    partial = PartialPlan.from_order(problem, prefix)
+    partial = problem.evaluator().prefix(prefix)
     full_cost = problem.cost(tuple(order))
     assert partial.epsilon <= full_cost + 1e-9
 
@@ -116,7 +115,7 @@ def test_epsilon_bar_bounds_the_cost_of_any_completion(problem, rng):
     rng.shuffle(order)
     prefix_length = rng.randint(1, problem.size)
     prefix = order[:prefix_length]
-    partial = PartialPlan.from_order(problem, prefix)
+    partial = problem.evaluator().prefix(prefix)
     bound = max(partial.epsilon, epsilon_bar(partial))
     assert problem.cost(tuple(order)) <= bound + 1e-9
 

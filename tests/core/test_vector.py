@@ -2,10 +2,10 @@
 
 The vector kernel (:mod:`repro.core.vector`) promises *bit-identical*
 agreement with the scalar kernel — and hence with the from-scratch cost
-model — in default (non-``fast_math``) mode: every cost assertion below uses
-``==``, never approx.  Problems are drawn with and without sink transfers,
-with and without precedence constraints (so infeasible-candidate masking is
-exercised), and with proliferative (sigma > 1) services.
+model: every cost assertion below uses ``==``, never approx.  Problems are
+drawn with and without sink transfers, with and without precedence
+constraints (so infeasible-candidate masking is exercised), and with
+proliferative (sigma > 1) services.
 
 numpy is optional: the numpy-dependent tests skip cleanly when it is absent,
 and the fallback tests run the library in a subprocess with the numpy import
@@ -14,10 +14,12 @@ and the fallback tests run the library in a subprocess with the numpy import
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,11 @@ from hypothesis import strategies as st
 
 from repro.core import OrderingProblem, PrecedenceGraph
 from repro.core.beam_search import BeamSearchOptimizer
+from repro.core.branch_and_bound import (
+    BranchAndBoundOptimizer,
+    BranchAndBoundOptions,
+    SuccessorOrder,
+)
 from repro.core.cost_model import bottleneck_cost
 from repro.core.dynamic_programming import DynamicProgrammingOptimizer
 from repro.core.evaluation import (
@@ -42,6 +49,7 @@ from repro.core.vector import (
     set_default_kernel,
 )
 from repro.exceptions import KernelError
+from repro.workloads import WorkloadSpec, generate_problem
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the vector kernel requires numpy"
@@ -257,36 +265,44 @@ def test_dynamic_programming_kernels_agree_including_dp_states(problem):
     assert vector.statistics.extra["dp_states"] == scalar.statistics.extra["dp_states"]
 
 
-# -- fast_math ----------------------------------------------------------------------
+# -- thread safety ------------------------------------------------------------------
 
 
 @needs_numpy
-@settings(max_examples=60, deadline=None)
-@given(problem_and_orders())
-def test_fast_math_is_close_but_not_contractually_exact(case):
-    problem, orders = case
-    evaluator = problem.evaluator()
-    fast = batch_evaluator(evaluator, fast_math=True)
-    assert fast.fast_math
-    scores = fast.score_orders(orders)
-    for order, score in zip(orders, scores):
-        exact = evaluator.cost(order)
-        # Reassociated arithmetic: one rounding fewer per term, so only a
-        # tolerance contract — a handful of ulps at these magnitudes.
-        assert score == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-@needs_numpy
-def test_fast_math_evaluators_are_cached_separately():
-    problem = OrderingProblem.from_parameters(
-        [1.0, 2.0, 3.0], [0.5, 0.8, 1.2], [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+@pytest.mark.parametrize("size", [12, 16])
+def test_racing_vector_optimizers_on_one_problem_stay_exact(size):
+    """Portfolio members racing on threads over one problem must not share
+    mutable kernel state: every vector beam plan equals the scalar one."""
+    problem = generate_problem(WorkloadSpec(service_count=size), seed=size)
+    expected = BeamSearchOptimizer(kernel="scalar").optimize(problem).plan.order
+    exact_options = BranchAndBoundOptions(
+        successor_order=SuccessorOrder.CHEAPEST_TERM, use_lemma3=False, kernel="vector"
     )
-    evaluator = problem.evaluator()
-    exact = batch_evaluator(evaluator)
-    fast = batch_evaluator(evaluator, fast_math=True)
-    assert exact is batch_evaluator(evaluator)
-    assert fast is batch_evaluator(evaluator, fast_math=True)
-    assert exact is not fast
+    errors: list[BaseException] = []
+    beam_orders = []
+    with concurrent.futures.ThreadPoolExecutor(4) as pool:
+        for _ in range(20):
+            start = threading.Barrier(4)
+
+            def beam():
+                start.wait()
+                return BeamSearchOptimizer(kernel="vector").optimize(problem).plan.order
+
+            def exact():
+                start.wait()
+                return BranchAndBoundOptimizer(exact_options).optimize(problem).plan.order
+
+            futures = [pool.submit(beam) for _ in range(3)] + [pool.submit(exact)]
+            for index, future in enumerate(futures):
+                try:
+                    order = future.result()
+                except Exception as error:  # noqa: BLE001 - collected and asserted below
+                    errors.append(error)
+                    continue
+                if index < 3:
+                    beam_orders.append(order)
+    assert not errors
+    assert beam_orders == [expected] * len(beam_orders)
 
 
 # -- kernel selection ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 import pytest
 from serving_helpers import StubBackend, get_json, post_json, raw_http
 
+from repro.core.optimizer import ALGORITHMS
 from repro.serialization import problem_to_dict
 from repro.serving import PlanService, PlanServiceConfig, serve_async
 from repro.serving.http import MAX_BODY_BYTES
@@ -58,6 +59,26 @@ class TestPlanEndpoint:
         assert status == 404
         status, payload = get_json(f"{server}/nope")
         assert status == 404
+
+
+class TestFailureAccounting:
+    def test_untyped_member_error_is_a_500_and_counts_as_failed(self, monkeypatch):
+        def broken_member(problem, **options):
+            raise ValueError("member exploded")
+
+        monkeypatch.setitem(ALGORITHMS, "beam_search", broken_member)
+        with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
+            with serve_async(plan_service, host="127.0.0.1", port=0) as handle:
+                host, port = handle.address
+                base = f"http://{host}:{port}"
+                _, before = get_json(f"{base}/stats")
+                status, payload = post_json(
+                    f"{base}/plan", problem_to_dict(credit_card_screening())
+                )
+                _, after = get_json(f"{base}/stats")
+        assert status == 500
+        assert "ValueError" in payload["error"]
+        assert after["requests"]["failed"] == before["requests"]["failed"] + 1
 
 
 class TestBatchEndpoint:

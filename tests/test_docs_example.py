@@ -13,7 +13,6 @@ import pytest
 from repro.core import (
     CommunicationCostMatrix,
     OrderingProblem,
-    PartialPlan,
     branch_and_bound,
     exhaustive_search,
 )
@@ -40,15 +39,15 @@ def documented_problem() -> OrderingProblem:
 
 class TestWorkedExample:
     def test_prefix_measures(self, documented_problem):
-        prefix_a = PartialPlan.from_order(documented_problem, (0,))
+        prefix_a = documented_problem.evaluator().prefix((0,))
         assert prefix_a.epsilon == pytest.approx(1.0)
         assert max_residual_cost(prefix_a).value == pytest.approx(3.0)
 
-        prefix_ab = PartialPlan.from_order(documented_problem, (0, 1))
+        prefix_ab = documented_problem.evaluator().prefix((0, 1))
         assert prefix_ab.epsilon == pytest.approx(1.25)
         assert max_residual_cost(prefix_ab).value == pytest.approx(2.6)
 
-        prefix_abc = PartialPlan.from_order(documented_problem, (0, 1, 2))
+        prefix_abc = documented_problem.evaluator().prefix((0, 1, 2))
         assert prefix_abc.epsilon == pytest.approx(2.6)
         assert prefix_abc.bottleneck_position == 1  # service B
         assert max_residual_cost(prefix_abc).value == pytest.approx(1.08)
