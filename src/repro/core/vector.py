@@ -445,16 +445,21 @@ class BatchEvaluator:
         produces them in.  Each epsilon is bit-identical to
         ``front[parent].extend(extension).epsilon``.
         """
-        # Two conversions instead of one per field: gathering the front is a
-        # large share of a small front's cost.
-        last, placed = np.array(
-            [(state.last, state.placed) for state in front], dtype=np.int64
-        ).T
-        rate, output_rate, settled_max = np.array(
-            [(state.rate, state.output_rate, state.settled_max) for state in front],
+        # One flat-list conversion per dtype instead of one per field:
+        # gathering the front is a large share of a small front's cost.
+        count = len(front)
+        ints = np.array(
+            [state.last for state in front] + [state.placed for state in front], dtype=np.int64
+        )
+        floats = np.array(
+            [state.rate for state in front]
+            + [state.output_rate for state in front]
+            + [state.settled_max for state in front],
             dtype=np.float64,
-        ).T
-        terms, partial, gathered, feasible, bit_scratch = self._front_workspace(len(front))
+        )
+        last, placed = ints.reshape(2, count)
+        rate, output_rate, settled_max = floats.reshape(3, count)
+        terms, partial, gathered, feasible, bit_scratch = self._front_workspace(count)
 
         np.bitwise_and(placed[:, None], self._service_bits, out=bit_scratch)
         np.equal(bit_scratch, 0, out=feasible)
@@ -622,7 +627,7 @@ class BatchEvaluator:
             state_masks = chunk[group_ids]
             rates_before = products[state_masks ^ (np.int64(1) << lasts)]
             terms = self.transition_terms(rates_before, lasts)
-            candidates = np.maximum(state_values[:, None], terms)
+            candidates = np.maximum(state_values[:, None], terms, out=terms)
 
             # Every chunk mask has at least one finite state (it was
             # reached), so group g of the reduceat output is chunk[g].

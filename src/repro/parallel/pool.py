@@ -94,10 +94,10 @@ def _decode_cached(
         return problem, True
     problem = problem_from_wire(payload)
     # Build the kernel once, while the problem is cold: the scalar evaluator
-    # always, plus the shared vectorized scorer when the kernel (inherited
-    # from the parent via REPRO_KERNEL) resolves to "vector" — so an
-    # optimize_many batch of deduped problems scores every beam front,
-    # neighbourhood and DP layer through one warm BatchEvaluator per problem.
+    # always, plus the shared vector arrays when the kernel (inherited from
+    # the parent via REPRO_KERNEL) resolves to "vector" — so every optimizer
+    # run of an optimize_many batch of deduped problems starts from warm
+    # arrays instead of re-extracting them.
     prepare_kernel(problem)
     cache[payload] = problem
     while len(cache) > capacity:

@@ -280,27 +280,32 @@ def test_racing_vector_optimizers_on_one_problem_stay_exact(size):
     )
     errors: list[BaseException] = []
     beam_orders = []
-    with concurrent.futures.ThreadPoolExecutor(4) as pool:
-        for _ in range(20):
-            start = threading.Barrier(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the numpy call sequences
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            for _ in range(20):
+                start = threading.Barrier(4, timeout=30)
 
-            def beam():
-                start.wait()
-                return BeamSearchOptimizer(kernel="vector").optimize(problem).plan.order
+                def beam():
+                    start.wait()
+                    return BeamSearchOptimizer(kernel="vector").optimize(problem).plan.order
 
-            def exact():
-                start.wait()
-                return BranchAndBoundOptimizer(exact_options).optimize(problem).plan.order
+                def exact():
+                    start.wait()
+                    return BranchAndBoundOptimizer(exact_options).optimize(problem).plan.order
 
-            futures = [pool.submit(beam) for _ in range(3)] + [pool.submit(exact)]
-            for index, future in enumerate(futures):
-                try:
-                    order = future.result()
-                except Exception as error:  # noqa: BLE001 - collected and asserted below
-                    errors.append(error)
-                    continue
-                if index < 3:
-                    beam_orders.append(order)
+                futures = [pool.submit(beam) for _ in range(3)] + [pool.submit(exact)]
+                for index, future in enumerate(futures):
+                    try:
+                        order = future.result(timeout=60)
+                    except Exception as error:  # noqa: BLE001 - collected and asserted below
+                        errors.append(error)
+                        continue
+                    if index < 3:
+                        beam_orders.append(order)
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors
     assert beam_orders == [expected] * len(beam_orders)
 
