@@ -16,11 +16,11 @@ The reported batch speedup therefore compounds *deduplication* (pays off
 everywhere, including single-core CI containers) with *multi-core scaling*
 (pays off on real hardware); the JSON records the workload's duplication
 factor, the per-worker-count runs, and a no-dedup run so the two effects can
-be separated.  The second section demonstrates hard cancellation: a
+be separated.  The second section demonstrates cooperative cancellation: a
 portfolio race with a deliberately over-budget exhaustive member
-(11 services, ~minutes of enumeration) must return within its budget on the
-process backend, because stragglers are terminated — the thread backend
-could only abandon them.
+(11 services, ~minutes of enumeration) must return within its budget, and
+the member's thread must exit within a grace period after that, because the
+race's stop signal ends the enumeration at its next prefix.
 
 Usage::
 
@@ -36,12 +36,14 @@ import json
 import os
 import platform
 import random
+import subprocess
+import threading
 import time
 from pathlib import Path
 
 from repro.core import OrderingProblem, optimize
 from repro.parallel import OptimizerPool
-from repro.serving import PortfolioOptions, run_portfolio
+from repro.serving import PortfolioOptimizer, PortfolioOptions
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_parallel.json"
 
@@ -51,6 +53,21 @@ ALGORITHM = "branch_and_bound"
 ACCEPTANCE_WORKERS = 4
 ACCEPTANCE_SPEEDUP = 2.0
 """Acceptance: >= 2x batch throughput at 4 workers vs the sequential path."""
+
+
+def git_commit() -> str | None:
+    """The checkout's commit (``-dirty`` when uncommitted changes were measured)."""
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return described.stdout.strip() or None
 
 
 def hard_problem(size: int, seed: int) -> OrderingProblem:
@@ -163,22 +180,32 @@ def run_cancellation(quick: bool) -> dict:
     budget = 0.5 if quick else 0.75
     problem = hard_problem(size, seed=0)
     options = PortfolioOptions(
-        algorithms=("greedy_min_term", "branch_and_bound", "exhaustive"),
+        algorithms=("greedy_min_term", "exhaustive"),
         budget_seconds=budget,
         # Lift the size guard so exhaustive genuinely chews on n! permutations
         # (minutes of work) instead of refusing the instance.
         algorithm_options={"exhaustive": {"max_size": 12}},
-        backend="processes",
     )
+    before = set(threading.enumerate())
+    portfolio = PortfolioOptimizer(options)
     started = time.perf_counter()
-    race = run_portfolio(problem, options)
+    race = portfolio.optimize(problem)
     elapsed = time.perf_counter() - started
-    grace = 2.0  # termination + reaping overhead allowance
+    # The executor's threads live until it shuts down; once it has, each
+    # exits as soon as its member has seen the stop signal.
+    member_threads = [thread for thread in threading.enumerate() if thread not in before]
+    portfolio.close()
+    grace = 1.0  # time the member may take to stop and its thread to exit
+    for thread in member_threads:
+        thread.join(timeout=grace)
+    exit_seconds = time.perf_counter() - started - elapsed
+    member_exited = bool(member_threads) and not any(t.is_alive() for t in member_threads)
     within_budget = elapsed <= budget + grace
     print(
         f"race n={size} budget={budget}s: returned in {elapsed:.3f} s, "
         f"best={race.best.algorithm} ({race.best.cost:.6g}), "
-        f"timed out: {', '.join(race.timed_out) or '(none)'}"
+        f"timed out: {', '.join(race.timed_out) or '(none)'}; "
+        f"member thread exited {exit_seconds * 1e3:.1f} ms later: {member_exited}"
     )
     return {
         "size": size,
@@ -188,6 +215,9 @@ def run_cancellation(quick: bool) -> dict:
         "within_budget": within_budget,
         "timed_out": list(race.timed_out),
         "completed": sorted(race.results),
+        "member_threads": len(member_threads),
+        "member_thread_exited": member_exited,
+        "member_exit_seconds": exit_seconds,
         "best_algorithm": race.best.algorithm,
         "best_cost": race.best.cost,
     }
@@ -222,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         "batch_speedup": top_run["speedup_vs_sequential"],
         "batch_speedup_passed": top_run["speedup_vs_sequential"] >= ACCEPTANCE_SPEEDUP,
         "race_within_budget": cancellation["within_budget"],
-        "race_straggler_cancelled": "exhaustive" in cancellation["timed_out"],
+        "race_straggler_cancelled": cancellation["member_thread_exited"],
     }
 
     payload = {
@@ -231,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "git_commit": git_commit(),
         "throughput": throughput,
         "cancellation": cancellation,
         "acceptance": acceptance,
@@ -241,7 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         f"acceptance: batch {acceptance['batch_speedup']:.2f}x at "
         f"{acceptance['batch_speedup_workers']} workers "
         f"(threshold {ACCEPTANCE_SPEEDUP}x, passed={acceptance['batch_speedup_passed']}), "
-        f"race within budget: {acceptance['race_within_budget']}"
+        f"race within budget: {acceptance['race_within_budget']}, "
+        f"straggler cancelled: {acceptance['race_straggler_cancelled']}"
     )
     return 0
 

@@ -117,19 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--json", action="store_true", help="print the responses as JSON")
     plan.add_argument(
-        "--backend",
-        default="threads",
-        choices=("threads", "processes"),
-        help="portfolio racing backend (processes terminates stragglers at the deadline)",
-    )
-    plan.add_argument(
-        "--mp-context",
-        default=None,
-        choices=("fork", "forkserver", "spawn"),
-        help="multiprocessing start method of the process backend "
-        "(forkserver/spawn avoid forking from a threaded service)",
-    )
-    plan.add_argument(
         "--kernel",
         default="auto",
         choices=("auto", "scalar", "vector"),
@@ -159,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ttl", type=float, default=300.0, help="cached plan lifetime in seconds (0 = no expiry)"
     )
     serve_cmd.add_argument(
-        "--backend",
-        default="threads",
-        choices=("threads", "processes"),
-        help="portfolio racing backend (processes terminates stragglers at the deadline)",
-    )
-    serve_cmd.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -182,21 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--mp-context",
         default=None,
         choices=("fork", "forkserver", "spawn"),
-        help="multiprocessing start method for shard/portfolio/revalidation "
-        "processes (forkserver/spawn avoid forking from a threaded service)",
+        help="multiprocessing start method of shard processes "
+        "(forkserver/spawn avoid forking from a threaded service)",
     )
     serve_cmd.add_argument(
         "--share-cache-dir",
         default=None,
         help="directory of a file-backed plan store shared by every shard "
         "(warm plans survive rebalances); default: per-shard in-process store",
-    )
-    serve_cmd.add_argument(
-        "--revalidation-backend",
-        default="threads",
-        choices=("threads", "pool"),
-        help="run background drift/staleness refreshes on service threads or "
-        "on a worker-process pool (off the request path)",
     )
     serve_cmd.add_argument(
         "--observability",
@@ -216,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=("auto", "scalar", "vector"),
         help="candidate-evaluation kernel for every optimization this "
-        "server (and its shard/pool processes) runs "
+        "server (and its shard processes) runs "
         "('vector' = numpy batch kernel, requires repro[fast])",
     )
 
@@ -377,8 +351,6 @@ def _command_plan(args: argparse.Namespace) -> int:
         budget_seconds=args.budget,
         cache_enabled=args.cached,
         stale_while_revalidate=args.cached,
-        portfolio_backend=args.backend,
-        mp_context=args.mp_context,
         kernel=args.kernel,
     )
     with PlanService(config) as service:
@@ -414,14 +386,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         budget_seconds=args.budget,
         cache_capacity=args.cache_capacity,
         cache_ttl=args.ttl if args.ttl > 0 else None,
-        portfolio_backend=args.backend,
         mp_context=args.mp_context,
         cache_store_dir=args.share_cache_dir,
-        revalidation_backend=args.revalidation_backend,
         observability=args.observability,
         slow_request_seconds=args.slow_threshold,
         kernel=args.kernel,
     )
+    from repro.core.vector import resolve_kernel
+
+    # Resolved before any shard starts: a vector kernel imports numpy here,
+    # so forked shards inherit it instead of each importing their own.
+    kernel = resolve_kernel(args.kernel if args.kernel != "auto" else None)
     if args.shards > 1:
         from repro.sharding import ShardRouter, ShardRouterConfig
 
@@ -445,9 +420,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"cannot bind {args.host}:{args.port}: {error.strerror or error}"
             ) from error
         host, port = front_end.address
-        from repro.core.vector import resolve_kernel
-
-        kernel = resolve_kernel(args.kernel if args.kernel != "auto" else None)
         print(
             f"plan service ({topology}, {kernel} kernel) listening on "
             f"http://{host}:{port} "

@@ -30,11 +30,13 @@ and return the same plan and statistics.
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.evaluation import PlanEvaluator, PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
 from repro.core.vector import evaluation_kernel
-from repro.exceptions import OptimizationError
+from repro.exceptions import OptimizationError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
 __all__ = ["BeamSearchOptimizer", "beam_search"]
@@ -54,8 +56,14 @@ class BeamSearchOptimizer:
         self.use_residual_bound = use_residual_bound
         self.kernel = kernel
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Construct a plan by beam search; optimal only if the beam never overflowed."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Construct a plan by beam search; optimal only if the beam never overflowed.
+
+        ``stop`` is checked once per level; once it is set the search raises
+        :class:`~repro.exceptions.SearchLimitExceededError`.
+        """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         evaluator = problem.evaluator()
@@ -64,6 +72,8 @@ class BeamSearchOptimizer:
         overflowed = False
 
         for level in range(problem.size):
+            if stop is not None and stop.is_set():
+                raise SearchLimitExceededError("beam search was stopped")
             final = level + 1 == problem.size
             parents, extensions, epsilons = kernel.score_front(beam, final)
             total = len(parents)

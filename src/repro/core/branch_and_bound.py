@@ -40,6 +40,7 @@ both kernels, and the returned plan is a true optimum of the reported
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 from repro.core.evaluation import PrefixState
@@ -93,9 +94,6 @@ class BranchAndBoundOptions:
     node_limit: int | None = None
     """Abort (with :class:`SearchLimitExceededError`) after this many expanded prefixes."""
 
-    time_limit: float | None = None
-    """Abort (with :class:`SearchLimitExceededError`) after this many seconds."""
-
     kernel: str | None = None
     """Evaluation kernel for successor scoring: ``"scalar"``, ``"vector"`` or
     ``"auto"`` (``None`` consults the process default).  Exploration order,
@@ -115,8 +113,6 @@ class BranchAndBoundOptions:
             )
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive when set")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive when set")
 
 
 class BranchAndBoundOptimizer:
@@ -129,14 +125,20 @@ class BranchAndBoundOptimizer:
 
     # -- public API ----------------------------------------------------------
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Return an optimal plan for ``problem`` together with search statistics."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Return an optimal plan for ``problem`` together with search statistics.
+
+        ``stop`` is checked once per expanded prefix; once it is set the
+        search raises :class:`SearchLimitExceededError`.
+        """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         self._best_order: tuple[int, ...] | None = None
         self._best_cost = float("inf")
         self._stats = stats
-        self._stopwatch = stopwatch
+        self._stop = stop
         self._problem = problem
         self._evaluator = problem.evaluator()
         self._kernel = evaluation_kernel(problem, self.options.kernel)
@@ -295,13 +297,11 @@ class BranchAndBoundOptimizer:
         return [candidates[position] for position in self._kernel.rank(pair_costs)]
 
     def _check_limits(self) -> None:
-        options = self.options
-        if options.node_limit is not None and self._stats.nodes_expanded > options.node_limit:
-            raise SearchLimitExceededError(
-                f"node limit of {options.node_limit} prefixes exceeded"
-            )
-        if options.time_limit is not None and self._stopwatch.elapsed > options.time_limit:
-            raise SearchLimitExceededError(f"time limit of {options.time_limit} s exceeded")
+        node_limit = self.options.node_limit
+        if node_limit is not None and self._stats.nodes_expanded > node_limit:
+            raise SearchLimitExceededError(f"node limit of {node_limit} prefixes exceeded")
+        if self._stop is not None and self._stop.is_set():
+            raise SearchLimitExceededError("branch-and-bound was stopped")
 
 
 def branch_and_bound(

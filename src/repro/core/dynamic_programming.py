@@ -29,10 +29,12 @@ vector kernel's cell writes (which equal ``dp_states``).
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
 from repro.core.vector import evaluation_kernel
-from repro.exceptions import OptimizationError, ProblemTooLargeError
+from repro.exceptions import OptimizationError, ProblemTooLargeError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
 __all__ = ["DynamicProgrammingOptimizer", "dynamic_programming"]
@@ -57,14 +59,22 @@ class DynamicProgrammingOptimizer:
         self.max_size = max_size
         self.kernel = kernel
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Return the optimal plan for ``problem`` via subset DP."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Return the optimal plan for ``problem`` via subset DP.
+
+        ``stop`` is checked before the subset-product fill and once per
+        popcount layer; once it is set the programme raises
+        :class:`~repro.exceptions.SearchLimitExceededError`.
+        """
         size = problem.size
         if size > self.max_size:
             raise ProblemTooLargeError(
                 f"dynamic programming is limited to {self.max_size} services, "
                 f"the problem has {size} (raise max_size explicitly if you really want this)"
             )
+        self._check_stop(stop)
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         kernel = evaluation_kernel(problem, self.kernel, vector_limit=_VECTOR_DP_MAX_SIZE)
@@ -96,6 +106,7 @@ class DynamicProgrammingOptimizer:
         # 1 << i is increasing in i, so the seed layer is already mask-ascending.
         layer = [1 << index for index in seeds]
         for _ in range(size - 1):
+            self._check_stop(stop)
             if len(layer) == 0:
                 break
             layer, reached, improved = kernel.relax_layer(values, parents, products, layer)
@@ -131,6 +142,11 @@ class DynamicProgrammingOptimizer:
         return OptimizationResult(
             plan=plan, cost=plan.cost, algorithm=self.name, optimal=True, statistics=stats
         )
+
+    @staticmethod
+    def _check_stop(stop: threading.Event | None) -> None:
+        if stop is not None and stop.is_set():
+            raise SearchLimitExceededError("dynamic programming was stopped")
 
     @staticmethod
     def _reconstruct(parents, mask: int, last: int) -> list[int]:

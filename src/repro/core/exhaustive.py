@@ -23,10 +23,12 @@ plans); ``plans_evaluated`` counts the complete feasible plans.
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.exceptions import OptimizationError, ProblemTooLargeError
+from repro.exceptions import OptimizationError, ProblemTooLargeError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
 __all__ = ["ExhaustiveOptimizer", "exhaustive_search"]
@@ -42,8 +44,14 @@ class ExhaustiveOptimizer:
             raise ValueError("max_size must be positive")
         self.max_size = max_size
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Return the optimal plan by enumerating all feasible orderings."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Return the optimal plan by enumerating all feasible orderings.
+
+        ``stop`` is checked once per visited prefix; once it is set the
+        enumeration raises :class:`~repro.exceptions.SearchLimitExceededError`.
+        """
         if problem.size > self.max_size:
             raise ProblemTooLargeError(
                 f"exhaustive search is limited to {self.max_size} services, "
@@ -64,6 +72,8 @@ class ExhaustiveOptimizer:
 
         def visit(state: PrefixState) -> None:
             nonlocal best_cost, best_order
+            if stop is not None and stop.is_set():
+                raise SearchLimitExceededError("exhaustive search was stopped")
             stats.nodes_expanded += 1
             if state.length == size:
                 stats.plans_evaluated += 1

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 
 from repro.core.greedy import GreedyOptimizer, GreedyStrategy
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
 from repro.core.vector import evaluation_kernel
+from repro.exceptions import SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
 __all__ = [
@@ -76,8 +78,14 @@ class HillClimbingOptimizer:
         self.seed = seed
         self.kernel = kernel
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Improve a greedy plan until no neighbour is better (or iterations run out)."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Improve a greedy plan until no neighbour is better (or iterations run out).
+
+        ``stop`` is checked once per step; once it is set the search raises
+        :class:`~repro.exceptions.SearchLimitExceededError`.
+        """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         kernel = evaluation_kernel(problem, self.kernel)
@@ -85,6 +93,8 @@ class HillClimbingOptimizer:
         current_cost = kernel.cost(current)
         stats.plans_evaluated += 1
         for _ in range(self.max_iterations):
+            if stop is not None and stop.is_set():
+                raise SearchLimitExceededError("hill climbing was stopped")
             stats.nodes_expanded += 1
             neighbour, cost, evaluated = kernel.best_neighbor(current, current_cost)
             stats.plans_evaluated += evaluated
@@ -140,8 +150,14 @@ class SimulatedAnnealingOptimizer:
     def __init__(self, options: SimulatedAnnealingOptions | None = None) -> None:
         self.options = options if options is not None else SimulatedAnnealingOptions()
 
-    def optimize(self, problem: OrderingProblem) -> OptimizationResult:
-        """Anneal from a greedy plan; returns the best plan seen."""
+    def optimize(
+        self, problem: OrderingProblem, stop: threading.Event | None = None
+    ) -> OptimizationResult:
+        """Anneal from a greedy plan; returns the best plan seen.
+
+        ``stop`` is checked once per step; once it is set the search raises
+        :class:`~repro.exceptions.SearchLimitExceededError`.
+        """
         options = self.options
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
@@ -158,6 +174,8 @@ class SimulatedAnnealingOptimizer:
 
         temperature = options.initial_temperature * max(current_cost, 1e-12)
         for _ in range(options.steps):
+            if stop is not None and stop.is_set():
+                raise SearchLimitExceededError("simulated annealing was stopped")
             stats.nodes_expanded += 1
             if size < 2:
                 proposal = current

@@ -9,6 +9,7 @@ returns their results side by side (the core of experiment E4).
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Mapping
 
 from repro.core.beam_search import BeamSearchOptimizer
@@ -29,40 +30,57 @@ from repro.exceptions import OptimizationError
 __all__ = ["ALGORITHMS", "optimize", "compare", "available_algorithms"]
 
 
-def _run_branch_and_bound(problem: OrderingProblem, **options: object) -> OptimizationResult:
+def _run_branch_and_bound(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
     configured = BranchAndBoundOptions(**options) if options else BranchAndBoundOptions()
-    return BranchAndBoundOptimizer(configured).optimize(problem)
+    return BranchAndBoundOptimizer(configured).optimize(problem, stop=stop)
 
 
-def _run_exhaustive(problem: OrderingProblem, **options: object) -> OptimizationResult:
-    return ExhaustiveOptimizer(**options).optimize(problem)
+def _run_exhaustive(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
+    return ExhaustiveOptimizer(**options).optimize(problem, stop=stop)
 
 
-def _run_dynamic_programming(problem: OrderingProblem, **options: object) -> OptimizationResult:
-    return DynamicProgrammingOptimizer(**options).optimize(problem)
+def _run_dynamic_programming(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
+    return DynamicProgrammingOptimizer(**options).optimize(problem, stop=stop)
 
 
 def _run_greedy(strategy: str) -> Callable[..., OptimizationResult]:
-    def runner(problem: OrderingProblem, **options: object) -> OptimizationResult:
+    # O(n²) constructions finish long before a stop signal could matter.
+    def runner(
+        problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+    ) -> OptimizationResult:
         return GreedyOptimizer(strategy, **options).optimize(problem)
 
     return runner
 
 
-def _run_beam_search(problem: OrderingProblem, **options: object) -> OptimizationResult:
-    return BeamSearchOptimizer(**options).optimize(problem)
+def _run_beam_search(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
+    return BeamSearchOptimizer(**options).optimize(problem, stop=stop)
 
 
-def _run_hill_climbing(problem: OrderingProblem, **options: object) -> OptimizationResult:
-    return HillClimbingOptimizer(**options).optimize(problem)
+def _run_hill_climbing(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
+    return HillClimbingOptimizer(**options).optimize(problem, stop=stop)
 
 
-def _run_simulated_annealing(problem: OrderingProblem, **options: object) -> OptimizationResult:
+def _run_simulated_annealing(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
     configured = SimulatedAnnealingOptions(**options) if options else SimulatedAnnealingOptions()
-    return SimulatedAnnealingOptimizer(configured).optimize(problem)
+    return SimulatedAnnealingOptimizer(configured).optimize(problem, stop=stop)
 
 
-def _run_srivastava(problem: OrderingProblem, **options: object) -> OptimizationResult:
+def _run_srivastava(
+    problem: OrderingProblem, *, stop: threading.Event | None = None, **options: object
+) -> OptimizationResult:
     if options:
         raise OptimizationError(f"the centralized baseline takes no options, got {options!r}")
     return SrivastavaOptimizer().optimize(problem)
@@ -82,7 +100,9 @@ ALGORITHMS: Mapping[str, Callable[..., OptimizationResult]] = {
     "simulated_annealing": _run_simulated_annealing,
     "srivastava_centralized": _run_srivastava,
 }
-"""Registry mapping algorithm names to runner callables."""
+"""Registry mapping algorithm names to runner callables.
+
+A runner is called as ``runner(problem, stop=stop, **options)``."""
 
 
 def available_algorithms() -> list[str]:
@@ -91,7 +111,11 @@ def available_algorithms() -> list[str]:
 
 
 def optimize(
-    problem: OrderingProblem, algorithm: str = "branch_and_bound", **options: object
+    problem: OrderingProblem,
+    algorithm: str = "branch_and_bound",
+    *,
+    stop: threading.Event | None = None,
+    **options: object,
 ) -> OptimizationResult:
     """Optimize ``problem`` with the named algorithm.
 
@@ -105,6 +129,11 @@ def optimize(
     options:
         Forwarded to the selected optimizer (e.g. ``use_lemma3=False`` for
         branch-and-bound, ``seed=3`` for the randomized heuristics).
+    stop:
+        A cooperative stop signal: once it is set, every search loop raises
+        :class:`~repro.exceptions.SearchLimitExceededError` at its next check
+        (the O(n²) greedy and centralized constructions simply finish).
+        Without a signal every search runs exactly as before.
     """
     try:
         runner = ALGORITHMS[algorithm]
@@ -112,7 +141,7 @@ def optimize(
         raise OptimizationError(
             f"unknown algorithm {algorithm!r}; available: {', '.join(ALGORITHMS)}"
         ) from None
-    return runner(problem, **options)
+    return runner(problem, stop=stop, **options)
 
 
 def compare(

@@ -39,27 +39,25 @@ optimizer run its kernel; it is the only code that turns a kernel name into
 a kernel.  The name is resolved by :func:`resolve_kernel` from, in order of
 precedence: an explicit per-call/per-optimizer request,
 :func:`set_default_kernel` (which also exports ``REPRO_KERNEL`` so
-optimizer-pool and portfolio worker processes inherit the choice), the
+optimizer-pool and shard processes inherit the choice), the
 ``REPRO_KERNEL`` environment variable, and finally ``auto`` — the vector
 kernel when numpy is importable *and* the instance is big enough to win
 (``size >= AUTO_MIN_SIZE``; below that, numpy call overhead dominates and
 the scalar kernel is faster).  Requesting ``vector`` without numpy raises a
-clean :class:`~repro.exceptions.KernelError`.  The read-only arrays and the
-move table are built once per problem and shared; each optimizer run gets
-its own :class:`BatchEvaluator` and hence its own scratch workspaces, so
-portfolio members racing on threads over one problem never share mutable
-state.
+clean :class:`~repro.exceptions.KernelError`.  numpy is imported the first
+time a kernel resolves to ``vector``, so a process that only ever scores on
+the scalar kernel never pays numpy's import time or memory.  The read-only
+arrays and the move table are built once per problem and shared; each
+optimizer run gets its own :class:`BatchEvaluator` and hence its own scratch
+workspaces, so portfolio members racing on threads over one problem never
+share mutable state.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
-from typing import TYPE_CHECKING, Sequence
-
-try:  # numpy is optional: the scalar kernel is the always-available fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the no-numpy tests
-    np = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.evaluation import kernel_profile
 from repro.exceptions import KernelError
@@ -105,13 +103,40 @@ candidate matrices to a few tens of MB at the largest supported n."""
 _default_kernel: str | None = None
 """In-process override set by :func:`set_default_kernel` (wins over the env var)."""
 
+np: Any = None
+"""The numpy module once :func:`_import_numpy` has imported it."""
+
+_numpy_missing = False
+"""Whether importing numpy failed (it is optional)."""
+
+
+def _import_numpy() -> Any:
+    """numpy, imported on first use; ``None`` when it is not installed."""
+    global np, _numpy_missing
+    if np is None and not _numpy_missing:
+        try:  # numpy is optional: the scalar kernel is the always-available fallback.
+            import numpy
+        except ImportError:
+            _numpy_missing = True
+        else:
+            np = numpy
+    return np
+
 
 # -- kernel selection -------------------------------------------------------
 
 
 def numpy_available() -> bool:
-    """Whether numpy imported, i.e. whether the vector kernel can run at all."""
-    return np is not None
+    """Whether numpy is installed, i.e. whether the vector kernel can run at all.
+
+    Answered without importing numpy when it has not been imported yet.
+    """
+    if np is not None or _numpy_missing:
+        return np is not None
+    try:
+        return importlib.util.find_spec("numpy") is not None
+    except ImportError:
+        return False
 
 
 def _validate(name: str) -> str:
@@ -142,8 +167,8 @@ def set_default_kernel(name: str | None) -> str:
 
     ``None`` clears the override (back to env var / ``auto``).  The choice is
     also exported as ``REPRO_KERNEL``, so worker processes started afterwards
-    (optimizer pool, process portfolio, process shards — fork or spawn alike)
-    inherit it transparently.
+    (optimizer pool, process shards — fork or spawn alike) inherit it
+    transparently.
     """
     global _default_kernel
     if name is None:
@@ -170,7 +195,7 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
     if requested == "scalar":
         return "scalar"
     if requested == "vector":
-        if np is None:
+        if _import_numpy() is None:
             raise KernelError(
                 "the vector kernel requires numpy, which is not installed; "
                 "install the optional extra (pip install repro-service-ordering[fast]) "
@@ -183,11 +208,9 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
             )
         return "vector"
     # auto: pick whichever kernel is expected to win.
-    if np is None:
-        return "scalar"
     if size is not None and (size < AUTO_MIN_SIZE or size > MAX_VECTOR_SIZE):
         return "scalar"
-    return "vector"
+    return "vector" if _import_numpy() is not None else "scalar"
 
 
 def prepare_kernel(problem: "OrderingProblem") -> str:
@@ -317,7 +340,7 @@ class BatchEvaluator:
     )
 
     def __init__(self, evaluator: "PlanEvaluator") -> None:
-        if np is None:
+        if _import_numpy() is None:
             raise KernelError(
                 "the vector kernel requires numpy, which is not installed; "
                 "install the optional extra (pip install repro-service-ordering[fast])"

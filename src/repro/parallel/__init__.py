@@ -1,24 +1,20 @@
-"""The parallel execution engine: wire codec, worker pool, process racing.
+"""The parallel execution engine: wire codec and worker pool.
 
-Everything built before this subsystem runs on one core: the evaluation
-kernel (:mod:`repro.core.evaluation`) made a single plan evaluation fast, and
-the serving portfolio (:mod:`repro.serving.portfolio`) races algorithms on
-GIL-bound threads it cannot cancel.  This package adds the multi-core layer:
+The serving portfolio (:mod:`repro.serving.portfolio`) races algorithms on
+threads that stop when told; bulk work that must scale past one core needs
+processes.  This package adds that multi-core layer:
 
 * :mod:`repro.parallel.codec` (+ the wire codec in :mod:`repro.serialization`)
   — problems and results cross process boundaries as compact tuples of flat
   arrays and precedence bitmasks, never as pickled object graphs,
 * :mod:`repro.parallel.pool` — :class:`OptimizerPool`, a persistent worker
   pool with warm per-problem evaluator caches and a batch-deduplicating
-  :meth:`~OptimizerPool.optimize_many` for bulk plan compilation,
-* :mod:`repro.parallel.race` — :func:`race_processes`, deadline racing whose
-  stragglers are *terminated* at the budget, which is what lets exact solvers
-  join a latency-bounded portfolio safely.
+  :meth:`~OptimizerPool.optimize_many` for bulk plan compilation.
 
-The serving layer consumes this package through
-:attr:`repro.serving.portfolio.PortfolioOptions.backend` and
-:meth:`repro.serving.service.PlanService.optimize_batch`; experiments and
-benchmarks through :func:`repro.experiments.harness.optimize_suite`.
+Experiments and benchmarks consume the pool through
+:func:`repro.experiments.harness.optimize_suite`; the process shards of
+:mod:`repro.sharding` reuse the problem wire codec and
+:func:`preferred_context`.
 """
 
 from repro.parallel.codec import (
@@ -33,14 +29,12 @@ from repro.parallel.pool import (
     optimize_many,
     preferred_context,
 )
-from repro.parallel.race import race_processes
 
 __all__ = [
     "OptimizerPool",
     "default_worker_count",
     "optimize_many",
     "preferred_context",
-    "race_processes",
     "result_from_wire",
     "result_to_wire",
     "statistics_from_wire",

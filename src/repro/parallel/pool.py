@@ -29,8 +29,7 @@ big batch compiles gets the next free worker, not a place at the back of the
 big batch's critical section.
 
 Workers are real processes, so the pool sidesteps the GIL on multi-core
-machines — and, unlike threads, its members can be killed: the deadline race
-in :mod:`repro.parallel.race` builds on the same worker entry point.
+machines.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ def preferred_context(method: str | None = None) -> multiprocessing.context.Base
     (``fork`` / ``forkserver`` / ``spawn``); ``None`` picks ``fork`` where
     supported — the cheap default — leaving deployments that fork from
     threaded parents free to ask for ``forkserver`` or ``spawn`` instead
-    (see :attr:`repro.serving.portfolio.PortfolioOptions.mp_context`).
+    (see :attr:`repro.serving.service.PlanServiceConfig.mp_context`, which
+    picks the start method of shard processes).
     """
     methods = multiprocessing.get_all_start_methods()
     if method is None:

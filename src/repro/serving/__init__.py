@@ -11,8 +11,8 @@ becomes a long-running service here:
   cache (:class:`LocalStore` in-proc, :class:`SharedStore` file-backed and
   shareable across shard processes),
 * :mod:`repro.serving.portfolio` — deadline-budgeted races over the algorithm
-  registry (greedy anytime seed, refined by beam search / branch-and-bound),
-  on threads or on hard-cancellable processes (:mod:`repro.parallel`),
+  registry (greedy anytime seed, refined by beam search / branch-and-bound)
+  that end at the first proof of optimality or the deadline,
 * :mod:`repro.serving.service` — the :class:`PlanService` façade with
   admission control, single-flight miss coalescing and batch optimization,
 * :mod:`repro.serving.metrics` — per-request latency and quality metrics,
@@ -51,7 +51,6 @@ from repro.serving.http import (
 from repro.serving.metrics import LatencySummary, ServingMetrics
 from repro.serving.portfolio import (
     DEFAULT_PORTFOLIO,
-    PORTFOLIO_BACKENDS,
     PortfolioOptimizer,
     PortfolioOptions,
     PortfolioResult,
@@ -64,7 +63,6 @@ __all__ = [
     "DEFAULT_PORTFOLIO",
     "DEFAULT_PRECISION",
     "MAX_BODY_BYTES",
-    "PORTFOLIO_BACKENDS",
     "AsyncPlanServer",
     "AsyncServerHandle",
     "CacheLookup",

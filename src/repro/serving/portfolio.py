@@ -7,40 +7,35 @@ much longer on large instances.  The portfolio exploits that spread:
 
 1. the **anytime seed** — the first configured algorithm (greedy by default)
    runs synchronously, so there is always an answer to return, then
-2. the remaining algorithms **race** on a :class:`~concurrent.futures.ThreadPoolExecutor`
-   until the budget expires, each completed result refining the incumbent.
+2. the remaining algorithms **race** on a shared
+   :class:`~concurrent.futures.ThreadPoolExecutor` until the first member
+   *proves* optimality (no other member can beat a proven cost) or the budget
+   expires, whichever comes first.
+
+Every race owns one cooperative stop signal (a :class:`threading.Event`)
+handed to each member's :func:`~repro.core.optimizer.optimize` call.  The
+race sets it at the first proof, at the deadline and on :meth:`close`; every
+search loop checks it and raises
+:class:`~repro.exceptions.SearchLimitExceededError`, so a member still
+running when the race ends — even an over-budget exact solver — gives its
+worker thread back within one loop step instead of running to completion.
 
 The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` — it never
 duplicates a runner — and returns the best
-:class:`~repro.core.result.OptimizationResult` observed when the deadline
-fires.  Before the race starts it builds the problem's evaluation kernel
+:class:`~repro.core.result.OptimizationResult` observed when the race ends,
+ties broken by ladder position.  Before the race starts it builds the
+problem's evaluation kernel
 (:meth:`~repro.core.problem.OrderingProblem.evaluator`) once, so every racing
 member shares the same pre-extracted arrays instead of each worker thread
-lazily building its own on first use.  Because the seed always completes, the portfolio's answer is never
-worse than the seed algorithm's; algorithms that error out (e.g. an exact
-solver refusing an over-size instance) are recorded, not fatal.
-
-The race runs on one of two interchangeable backends
-(:attr:`PortfolioOptions.backend`):
-
-* ``"threads"`` (default) — a shared
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap per race, but
-  Python threads cannot be killed: an algorithm still running at the deadline
-  keeps its worker busy until it finishes on its own, so the executor is
-  sized with spare workers to keep one straggler from stalling the next
-  request's race.
-* ``"processes"`` — :func:`repro.parallel.race.race_processes`.  Every racing
-  member gets its own OS process and is *terminated* at the deadline, so even
-  a hopelessly over-budget exact solver (exhaustive enumeration on a large
-  instance) costs exactly the budget.  This is the backend that makes exact
-  members safe in the default ladder, at the price of per-race process
-  startup.
+lazily building its own on first use.  Because the seed always completes, the
+portfolio's answer is never worse than the seed algorithm's; algorithms that
+error out (e.g. an exact solver refusing an over-size instance) are recorded,
+not fatal.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -53,7 +48,6 @@ from repro.obs.trace import ActiveTrace, capture, trace_span
 from repro.utils.timing import Stopwatch
 
 __all__ = [
-    "PORTFOLIO_BACKENDS",
     "PortfolioOptions",
     "PortfolioResult",
     "PortfolioOptimizer",
@@ -62,9 +56,6 @@ __all__ = [
 
 DEFAULT_PORTFOLIO = ("greedy_min_term", "beam_search", "branch_and_bound")
 """Default algorithm ladder: instant heuristic, polynomial refinement, exact."""
-
-PORTFOLIO_BACKENDS = ("threads", "processes")
-"""Supported racing backends (see the module docstring for the trade-off)."""
 
 
 @dataclass(frozen=True)
@@ -81,24 +72,12 @@ class PortfolioOptions:
     algorithm_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     """Per-algorithm keyword options, e.g. ``{"beam_search": {"beam_width": 8}}``."""
 
-    backend: str = "threads"
-    """Racing backend: ``"threads"`` (shared executor, stragglers run on) or
-    ``"processes"`` (dedicated processes, stragglers terminated at the
-    deadline)."""
-
-    mp_context: str | None = None
-    """Multiprocessing start method of the process backend (``"fork"`` /
-    ``"forkserver"`` / ``"spawn"``).  ``None`` keeps the cheap default
-    (``fork`` where available); a service that forks race members from a
-    heavily threaded parent can pick ``forkserver`` or ``spawn`` to trade
-    member startup latency for fork-with-threads safety."""
-
     def __post_init__(self) -> None:
         if not self.algorithms:
             raise ServingError("a portfolio needs at least one algorithm")
         if len(set(self.algorithms)) != len(self.algorithms):
-            # Duplicates buy nothing (same work twice) and the process
-            # backend tracks race members by name.
+            # Duplicates buy nothing (same work twice) and race results are
+            # keyed by member name.
             raise ServingError(f"portfolio members must be unique, got {self.algorithms!r}")
         unknown = [name for name in self.algorithms if name not in ALGORITHMS]
         if unknown:
@@ -107,18 +86,6 @@ class PortfolioOptions:
             )
         if self.budget_seconds is not None and self.budget_seconds < 0:
             raise ServingError(f"budget_seconds must be non-negative, got {self.budget_seconds!r}")
-        if self.backend not in PORTFOLIO_BACKENDS:
-            raise ServingError(
-                f"unknown portfolio backend {self.backend!r}; "
-                f"available: {', '.join(PORTFOLIO_BACKENDS)}"
-            )
-        if self.mp_context is not None:
-            methods = multiprocessing.get_all_start_methods()
-            if self.mp_context not in methods:
-                raise ServingError(
-                    f"unsupported mp_context {self.mp_context!r}; "
-                    f"available: {', '.join(methods)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -126,7 +93,8 @@ class PortfolioResult:
     """The outcome of racing a portfolio on one problem."""
 
     best: OptimizationResult
-    """The cheapest plan any member produced within the budget."""
+    """The cheapest plan any member produced before the race ended; ties go
+    to the member earliest in the ladder."""
 
     results: dict[str, OptimizationResult]
     """Results of every member that completed in time, by algorithm name."""
@@ -136,6 +104,10 @@ class PortfolioResult:
 
     timed_out: tuple[str, ...]
     """Members that had not finished when the budget expired."""
+
+    stopped: tuple[str, ...]
+    """Members that had not finished when another member proved optimality
+    (they were told to stop: the proven cost cannot be beaten)."""
 
     elapsed_seconds: float
     """Wall-clock time the race took (≤ budget + seed time)."""
@@ -165,24 +137,23 @@ class PortfolioOptimizer:
         workers = max_workers if max_workers is not None else 2 * len(self.options.algorithms)
         if workers < 1:
             raise ServingError(f"max_workers must be at least 1, got {workers!r}")
-        # The processes backend spawns per-race member processes instead
-        # (repro.parallel.race); it never touches a thread executor.
-        self._executor = (
-            concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="portfolio"
-            )
-            if self.options.backend == "threads"
-            else None
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="portfolio"
         )
+        # The stop signals of the races in flight, so close() can end them.
+        self._racing: set[threading.Event] = set()
+        self._racing_lock = threading.Lock()
         self._closed = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the executor down without waiting for stragglers."""
-        self._closed.set()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        """Stop every race in flight and shut the executor down without waiting."""
+        with self._racing_lock:
+            self._closed.set()
+            for stop in self._racing:
+                stop.set()
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "PortfolioOptimizer":
         return self
@@ -201,17 +172,27 @@ class PortfolioOptimizer:
         first algorithm runs synchronously regardless of the budget, so the
         call always returns a valid result.
         """
-        if self._closed.is_set():
-            raise ServingError("the portfolio optimizer has been closed")
         options = self.options
         budget = options.budget_seconds if budget_seconds is None else budget_seconds
         if budget is not None and budget < 0:
             raise ServingError(f"budget_seconds must be non-negative, got {budget!r}")
-        with trace_span("portfolio.race", backend=options.backend) as race_span:
-            result = self._race(problem, options, budget)
-            race_span.annotate(
-                completed=len(result.results), timed_out=len(result.timed_out)
-            )
+        stop = threading.Event()
+        with self._racing_lock:
+            if self._closed.is_set():
+                raise ServingError("the portfolio optimizer has been closed")
+            self._racing.add(stop)
+        try:
+            with trace_span("portfolio.race") as race_span:
+                result = self._race(problem, options, budget, stop)
+                race_span.annotate(
+                    completed=len(result.results),
+                    timed_out=len(result.timed_out),
+                    stopped=len(result.stopped),
+                )
+        finally:
+            stop.set()  # the race is over, however it ended
+            with self._racing_lock:
+                self._racing.discard(stop)
         return result
 
     def _race(
@@ -219,13 +200,8 @@ class PortfolioOptimizer:
         problem: OrderingProblem,
         options: PortfolioOptions,
         budget: float | None,
+        stop: threading.Event,
     ) -> PortfolioResult:
-        if options.backend == "processes":
-            from repro.parallel.race import race_processes
-
-            return race_processes(problem, options, budget)
-
-        assert self._executor is not None
         stopwatch = Stopwatch().start()
         # Build the shared evaluation kernel before any member runs: the racing
         # threads all reuse it, and the (idempotent) lazy construction happens
@@ -236,56 +212,83 @@ class PortfolioOptimizer:
         errors: dict[str, str] = {}
         try:
             with trace_span("portfolio.member", algorithm=seed_name, seed=True):
-                results[seed_name] = self._run_member(problem, seed_name)
+                results[seed_name] = self._run_member(problem, seed_name, stop)
         except ReproError as error:
             errors[seed_name] = str(error)
+        proved = any(result.optimal for result in results.values())
 
-        racing = options.algorithms[1:]
         # Racing members run on executor threads, where the ambient trace
         # contextvar does not flow; hand the captured activation over
         # explicitly so their spans join this request's tree.
         context = capture()
-        futures = {
-            self._executor.submit(self._traced_member, problem, name, context): name
-            for name in racing
-        }
-        remaining = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
-        done, pending = concurrent.futures.wait(futures, timeout=remaining)
-        for future in done:
-            name = futures[future]
-            try:
-                results[name] = future.result()
-            except ReproError as error:
-                errors[name] = str(error)
-        timed_out = []
+        try:
+            futures = {
+                self._executor.submit(self._traced_member, problem, name, context, stop): name
+                for name in options.algorithms[1:]
+            }
+        except RuntimeError:  # the executor shut down: close() raced this call
+            raise ServingError("the portfolio optimizer has been closed") from None
+        pending = set(futures)
+        while pending and not proved:
+            timeout = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
+            done, pending = concurrent.futures.wait(
+                pending, timeout=timeout, return_when=concurrent.futures.FIRST_COMPLETED
+            )
+            if not done:
+                break  # the deadline passed
+            for future in done:
+                name = futures[future]
+                try:
+                    result = future.result()
+                except ReproError as error:
+                    errors[name] = str(error)
+                except concurrent.futures.CancelledError:
+                    errors[name] = "cancelled: the portfolio was closed"
+                else:
+                    results[name] = result
+                    proved = proved or result.optimal
+        # Queued members never start; running ones stop at their next check
+        # once optimize() sets the race's stop signal.
         for future in pending:
             future.cancel()
-            timed_out.append(futures[future])
+        unfinished = tuple(sorted(futures[future] for future in pending))
 
         if not results:
             raise OptimizationError(
                 f"no portfolio member produced a plan within the budget "
-                f"(errors: {errors!r}, timed out: {timed_out!r})"
+                f"(errors: {errors!r}, timed out: {unfinished!r})"
             )
-        best = min(results.values(), key=lambda result: (result.cost, not result.optimal))
+        # Iterating in ladder order makes min() break (cost, optimal) ties by
+        # ladder position, not by the order in which members finished.
+        best = min(
+            (results[name] for name in options.algorithms if name in results),
+            key=lambda result: (result.cost, not result.optimal),
+        )
         return PortfolioResult(
             best=best,
             results=results,
             errors=errors,
-            timed_out=tuple(sorted(timed_out)),
+            timed_out=() if proved else unfinished,
+            stopped=unfinished if proved else (),
             elapsed_seconds=stopwatch.stop(),
         )
 
     def _traced_member(
-        self, problem: OrderingProblem, name: str, context: ActiveTrace | None
+        self,
+        problem: OrderingProblem,
+        name: str,
+        context: ActiveTrace | None,
+        stop: threading.Event,
     ) -> OptimizationResult:
         with trace_span("portfolio.member", context=context, algorithm=name):
-            return self._run_member(problem, name)
+            return self._run_member(problem, name, stop)
 
-    def _run_member(self, problem: OrderingProblem, name: str) -> OptimizationResult:
+    def _run_member(
+        self, problem: OrderingProblem, name: str, stop: threading.Event
+    ) -> OptimizationResult:
         member_options = dict(self.options.algorithm_options.get(name, {}))
         try:
-            return optimize(problem, algorithm=name, **member_options)
+            return optimize(problem, algorithm=name, stop=stop, **member_options)
         except TypeError as error:
             # An optimizer rejecting its options must surface as a recorded
             # member error, not crash the whole race (cf. core.optimizer.compare).

@@ -8,9 +8,9 @@ instances; the service answers each with a :class:`PlanResponse`, combining
   identical problems are answered without optimizing again, with
   stale-while-revalidate refresh when parameters drift,
 * the **optimizer portfolio** (:mod:`repro.serving.portfolio`) — cache misses
-  are optimized under the configured latency budget, on the thread backend or
-  the process backend with hard deadline cancellation
-  (``portfolio_backend="processes"``),
+  are optimized under the configured latency budget; the race ends at the
+  first proof of optimality or at the deadline, and its members stop when
+  told,
 * **single-flight coalescing** (:class:`~repro.serving.cache.SingleFlight`) —
   N concurrent misses on one fingerprint trigger exactly one optimization;
   the N-1 followers wait for the leader's answer instead of stampeding the
@@ -60,7 +60,6 @@ from repro.core.vector import KERNELS, numpy_available, resolve_kernel, set_defa
 from repro.exceptions import (
     AdmissionError,
     InvalidPlanError,
-    OptimizationError,
     ReproError,
     ServingError,
 )
@@ -116,17 +115,13 @@ class PlanServiceConfig:
     algorithm_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     """Per-algorithm options forwarded to the portfolio."""
 
-    portfolio_backend: str = "threads"
-    """Racing backend of the portfolio: ``"threads"`` or ``"processes"`` (the
-    latter terminates stragglers at the deadline, see
-    :mod:`repro.parallel.race`)."""
-
     mp_context: str | None = None
     """Multiprocessing start method (``"fork"`` / ``"forkserver"`` /
-    ``"spawn"``) used by the process backend and the revalidation pool.
-    ``None`` keeps the cheap default (``fork`` where available); pick
-    ``forkserver`` or ``spawn`` to avoid forking from this service's threads
-    (the classic fork-with-threads caveat)."""
+    ``"spawn"``) of shard processes (read by
+    :class:`~repro.sharding.router.ShardRouter`).  ``None`` keeps the cheap
+    default (``fork`` where available); pick ``forkserver`` or ``spawn`` to
+    avoid forking from a threaded parent (the classic fork-with-threads
+    caveat)."""
 
     cache_store_dir: str | None = None
     """Directory of a file-backed :class:`~repro.serving.store.SharedStore`
@@ -147,15 +142,9 @@ class PlanServiceConfig:
     admission control rejects."""
 
     revalidation_workers: int = 2
-    """Threads (or pool worker processes) refreshing stale/drifted cache
-    entries in the background."""
-
-    revalidation_backend: str = "threads"
-    """Where background refresh optimizations run: ``"threads"`` races the
-    portfolio on the service's own threads (sharing the request path's CPU),
-    ``"pool"`` routes the work through an :class:`~repro.parallel.pool.OptimizerPool`
-    of worker *processes*, so drift/staleness refresh never competes with
-    request-path optimization for the GIL."""
+    """Threads refreshing stale/drifted cache entries in the background; each
+    refresh is a portfolio race without a budget, which ends at the first
+    proof of optimality."""
 
     observability: bool = False
     """Turn on request tracing and kernel profiling (see :mod:`repro.obs`).
@@ -165,10 +154,6 @@ class PlanServiceConfig:
     slow_request_seconds: float | None = None
     """Requests slower than this land in the slow-request log (requires
     :attr:`observability`; ``None`` disables the log)."""
-
-    metrics_seed: int = 0
-    """Seed of the latency reservoirs' downsampling RNG, so metric-dependent
-    tests see deterministic quantiles."""
 
     kernel: str = "auto"
     """Evaluation kernel the optimizers score candidates with: ``"vector"``
@@ -191,11 +176,6 @@ class PlanServiceConfig:
         if self.drift_threshold is not None and self.drift_threshold < 0:
             raise ServingError(
                 f"drift_threshold must be non-negative, got {self.drift_threshold!r}"
-            )
-        if self.revalidation_backend not in ("threads", "pool"):
-            raise ServingError(
-                f"unknown revalidation backend {self.revalidation_backend!r}; "
-                f"available: threads, pool"
             )
         if self.slow_request_seconds is not None and self.slow_request_seconds < 0:
             raise ServingError(
@@ -277,9 +257,7 @@ class PlanService:
                 slow_request_seconds=self.config.slow_request_seconds,
             )
         )
-        self.metrics = ServingMetrics(
-            registry=self.obs.registry, seed=self.config.metrics_seed
-        )
+        self.metrics = ServingMetrics(registry=self.obs.registry)
         self._pending_gauge = self.obs.registry.gauge(
             "repro_requests_pending", "Requests admitted and not yet answered."
         )
@@ -317,8 +295,6 @@ class PlanService:
                 algorithms=self.config.algorithms,
                 budget_seconds=self.config.budget_seconds,
                 algorithm_options=dict(self.config.algorithm_options),
-                backend=self.config.portfolio_backend,
-                mp_context=self.config.mp_context,
             ),
             max_workers=max(2 * len(self.config.algorithms), self.config.max_in_flight),
         )
@@ -334,22 +310,16 @@ class PlanService:
         )
         self._revalidating: set[str] = set()
         self._revalidating_lock = threading.Lock()
-        self._refresh_pool = None
-        self._refresh_pool_lock = threading.Lock()
         self._closed = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop background refresh work and release the portfolio's threads."""
+        """Stop background refresh work and every portfolio member still racing."""
         self._closed.set()
         self._optimizer.shutdown(wait=False)
         self._revalidator.shutdown(wait=False, cancel_futures=True)
         self._portfolio.close()
-        with self._refresh_pool_lock:
-            pool, self._refresh_pool = self._refresh_pool, None
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> "PlanService":
         return self
@@ -477,9 +447,6 @@ class PlanService:
             "portfolio": {
                 "algorithms": list(self.config.algorithms),
                 "budget_seconds": self.config.budget_seconds,
-                "backend": self.config.portfolio_backend,
-                "mp_context": self.config.mp_context,
-                "revalidation_backend": self.config.revalidation_backend,
             },
         }
 
@@ -742,19 +709,9 @@ class PlanService:
         budget_seconds: float | None,
         fingerprint: ProblemFingerprint | None = None,
     ):
-        race = self._portfolio.optimize(problem, budget_seconds=budget_seconds)
-        result = race.best
+        result = self._portfolio.optimize(problem, budget_seconds=budget_seconds).best
         if not self.config.cache_enabled:
             return result
-        self._cache_result(problem, result, fingerprint)
-        return result
-
-    def _cache_result(
-        self,
-        problem: OrderingProblem,
-        result,
-        fingerprint: ProblemFingerprint | None = None,
-    ) -> None:
         if fingerprint is None:
             fingerprint = fingerprint_problem(problem, self.config.fingerprint_precision)
         self.cache.put(
@@ -765,6 +722,7 @@ class PlanService:
             optimal=result.optimal,
             problem=problem,
         )
+        return result
 
     def _schedule_revalidation(self, problem: OrderingProblem, key: str) -> None:
         """Refresh one cache entry in the background, at most once at a time."""
@@ -777,10 +735,7 @@ class PlanService:
 
         def refresh() -> None:
             try:
-                if self.config.revalidation_backend == "pool":
-                    self._refresh_via_pool(problem)
-                else:
-                    self._optimize_and_cache(problem, None)
+                self._optimize_and_cache(problem, None)
             except ReproError:
                 pass  # The stale entry stays; the next request retries.
             finally:
@@ -793,43 +748,6 @@ class PlanService:
             # The executor is shutting down; drop the refresh.
             with self._revalidating_lock:
                 self._revalidating.discard(key)
-
-    def _refresh_via_pool(self, problem: OrderingProblem) -> None:
-        """Refresh one entry on the worker-process pool (off the request path).
-
-        A background refresh has no latency budget, so instead of racing the
-        whole portfolio it walks the ladder from the *strongest* member down:
-        the exact member alone already dominates the race's best whenever it
-        accepts the instance, and a member that refuses (size guard, bad
-        options) simply falls through to the next one.
-        """
-        pool = self._ensure_refresh_pool()
-        errors: list[str] = []
-        for name in reversed(self.config.algorithms):
-            options = dict(self.config.algorithm_options.get(name, {}))
-            try:
-                result = pool.optimize_many([problem], algorithm=name, options=options)[0]
-            except OptimizationError as error:
-                errors.append(str(error))
-                continue
-            self._cache_result(problem, result)
-            return
-        raise ServingError(
-            f"no portfolio member could refresh the entry on the pool: {'; '.join(errors)}"
-        )
-
-    def _ensure_refresh_pool(self):
-        with self._refresh_pool_lock:
-            if self._refresh_pool is None:
-                if self._closed.is_set():
-                    raise ServingError("the plan service has been closed")
-                from repro.parallel.pool import OptimizerPool
-
-                self._refresh_pool = OptimizerPool(
-                    workers=self.config.revalidation_workers,
-                    context=self.config.mp_context,
-                )
-            return self._refresh_pool
 
 
 def _run(steps: Generator) -> object:

@@ -64,20 +64,12 @@ _ERROR_TYPES = {
 
 def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id: str) -> None:
     """Child entry point: serve requests until the shutdown sentinel."""
-    import multiprocessing
     import signal
 
     # A foreground Ctrl-C delivers SIGINT to the whole process group; shard
     # shutdown is coordinated by the parent (sentinel, then terminate), so
     # the child must not die mid-request with a KeyboardInterrupt traceback.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # The parent starts shards daemonic (an abandoned shard must never block
-    # interpreter exit), but the inherited daemon flag would forbid this
-    # service's own worker children — process-backend portfolio races and
-    # refresh pools.  Clear it here, where it has no other effect: the
-    # parent's exit handling keys off its own Process object, and the
-    # grandchildren are daemonic themselves.
-    multiprocessing.current_process()._config["daemon"] = False
     service = PlanService(config)
     # Each request is answered on its own executor thread through the
     # service's blocking surface: a hit on that thread, a miss by blocking on

@@ -40,8 +40,6 @@ class TestOptions:
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
             BranchAndBoundOptions(node_limit=0)
-        with pytest.raises(ValueError):
-            BranchAndBoundOptions(time_limit=0.0)
 
 
 class TestCorrectness:

@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core import available_algorithms, compare, optimize
-from repro.exceptions import OptimizationError
+from repro.core.optimizer import ALGORITHMS
+from repro.core.vector import prepare_kernel
+from repro.exceptions import OptimizationError, SearchLimitExceededError
+
+# Instances and options on which each search, left alone, runs for seconds
+# (or far longer); the rest of the registry finishes within milliseconds at
+# n = 24 whatever the signal says.
+_LONG_RUNS = {
+    "exhaustive": (11, {"max_size": 12}),
+    "dynamic_programming": (18, {}),
+    "branch_and_bound": (
+        24,
+        {"use_bound_pruning": False, "use_lemma2": False, "use_lemma3": False},
+    ),
+    "simulated_annealing": (24, {"steps": 10_000_000}),
+    "beam_search": (24, {"width": 4096}),
+}
 
 
 class TestFacade:
@@ -74,3 +93,28 @@ class TestFacade:
         results = compare(three_service_problem, algorithms=["branch_and_bound", "nope"])
         assert results["branch_and_bound"].optimal
         assert isinstance(results["nope"], OptimizationError)
+
+
+class TestStopSignal:
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_a_set_signal_ends_every_search_at_once(self, algorithm, make_resistant_problem):
+        size, options = _LONG_RUNS.get(algorithm, (24, {}))
+        problem = make_resistant_problem(size)
+        prepare_kernel(problem)  # time the search, not the kernel build
+        stop = threading.Event()
+        stop.set()
+        started = time.perf_counter()
+        try:
+            optimize(problem, algorithm=algorithm, stop=stop, **options)
+        except SearchLimitExceededError:
+            pass
+        assert time.perf_counter() - started < 0.05
+
+    def test_an_unset_signal_changes_nothing(self, make_random_problem):
+        problem = make_random_problem(7, 4)
+        for algorithm in ALGORITHMS:
+            plain = optimize(problem, algorithm=algorithm)
+            signalled = optimize(problem, algorithm=algorithm, stop=threading.Event())
+            assert signalled.order == plain.order
+            assert signalled.cost == plain.cost
+            assert signalled.statistics.nodes_expanded == plain.statistics.nodes_expanded

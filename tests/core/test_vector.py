@@ -403,7 +403,11 @@ _NO_NUMPY_PROLOGUE = """
 
 
 def _run_without_numpy(body: str) -> None:
-    script = textwrap.dedent(_NO_NUMPY_PROLOGUE) + textwrap.dedent(body)
+    _run_fresh(textwrap.dedent(_NO_NUMPY_PROLOGUE) + textwrap.dedent(body))
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a new interpreter on this checkout's sources."""
     env = dict(os.environ)
     env.pop("REPRO_KERNEL", None)
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -468,4 +472,28 @@ def test_without_numpy_explicit_vector_request_raises_kernel_error():
         else:
             raise AssertionError("optimizer with kernel='vector' must fail without numpy")
         """
+    )
+
+
+@needs_numpy
+def test_numpy_is_imported_only_when_a_kernel_resolves_to_vector():
+    _run_fresh(
+        textwrap.dedent(
+            """
+            import sys
+
+            from repro.serving import PlanService, PlanServiceConfig
+            from repro.workloads import credit_card_screening
+
+            with PlanService(PlanServiceConfig(kernel="scalar", budget_seconds=None)) as service:
+                service.submit(credit_card_screening())
+                assert service.stats()["kernel"]["numpy"] is True
+            assert "numpy" not in sys.modules, "a scalar-only service loaded numpy"
+
+            from repro.core.vector import resolve_kernel
+
+            assert resolve_kernel("auto", size=24) == "vector"
+            assert "numpy" in sys.modules
+            """
+        )
     )

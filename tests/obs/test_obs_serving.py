@@ -171,11 +171,7 @@ class TestShardedTracePropagation:
     ):
         from repro.sharding import ShardRouter, ShardRouterConfig
 
-        config = _observable_config(
-            budget_seconds=2.0,
-            portfolio_backend="processes",
-            slow_request_seconds=None,
-        )
+        config = _observable_config(budget_seconds=2.0, slow_request_seconds=None)
         router_config = ShardRouterConfig(
             shards=2, backend="processes", service_config=config
         )
@@ -208,7 +204,7 @@ class TestShardedTracePropagation:
                     "shard.submit",
                     "service.submit",
                     "portfolio.race",
-                    "worker.optimize",
+                    "portfolio.member",
                 } <= names
 
                 # Every span of the tree belongs to the request's trace, and
@@ -223,13 +219,13 @@ class TestShardedTracePropagation:
                         assert node["start"] >= parent["start"] - 0.05
 
                 # The cross-process chain: the shard span carries its shard id
-                # and sits under the router span; the race worker ran in yet
-                # another process and still stitched beneath the portfolio.
+                # and sits under the router span; the race members ran on the
+                # shard's portfolio threads and still stitched beneath the race.
                 shard_span = next(node for node, _ in nodes if node["name"] == "shard.submit")
                 assert shard_span["annotations"]["shard"] in router.shard_ids
                 assert by_id[shard_span["parent_id"]]["name"] == "router.submit"
-                worker = next(node for node, _ in nodes if node["name"] == "worker.optimize")
-                assert by_id[worker["parent_id"]]["name"] == "portfolio.race"
+                member = next(node for node, _ in nodes if node["name"] == "portfolio.member")
+                assert by_id[member["parent_id"]]["name"] == "portfolio.race"
 
                 # The router counted the routed request against its shard, and
                 # the aggregate equals the per-shard sum.

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.core import OrderingProblem, optimize
+from repro.core.optimizer import ALGORITHMS
 from repro.exceptions import AdmissionError, ServingError
 from repro.serving import LatencySummary, PlanService, PlanServiceConfig, ServingMetrics
 
@@ -68,6 +69,34 @@ class TestSubmit:
             assert len(plan_service.cache) == 0
             assert plan_service.warm([four_service_problem]) == 1
             assert len(plan_service.cache) == 0
+
+    def test_close_stops_members_still_racing(self, make_resistant_problem, monkeypatch):
+        problem = make_resistant_problem(11)
+        member_threads = []
+        exhaustive = ALGORITHMS["exhaustive"]
+
+        def tracked(problem, **options):
+            member_threads.append(threading.current_thread())
+            return exhaustive(problem, **options)
+
+        monkeypatch.setitem(ALGORITHMS, "exhaustive", tracked)
+        config = PlanServiceConfig(
+            budget_seconds=None,  # only a proof or close() ends this race
+            algorithms=("greedy_min_term", "exhaustive"),
+            algorithm_options={"exhaustive": {"max_size": 12}},
+        )
+        service = PlanService(config)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as caller:
+            answer = caller.submit(service.submit, problem)
+            deadline = time.monotonic() + 5.0
+            while not member_threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            [member_thread] = member_threads
+            service.close()
+            member_thread.join(timeout=1.0)
+            assert not member_thread.is_alive(), "close() must stop the racing member"
+            # The request still gets the seed's plan.
+            assert answer.result(timeout=5.0).algorithm == "greedy_min_term"
 
     def test_closed_service_rejects_submissions(self, four_service_problem):
         plan_service = PlanService(PlanServiceConfig(budget_seconds=None))

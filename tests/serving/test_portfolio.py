@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 
 import pytest
 
-from repro.core import optimize
+from repro.core import OptimizationResult, optimize
 from repro.core.optimizer import ALGORITHMS
 from repro.exceptions import ServingError
 from repro.serving import PortfolioOptimizer, PortfolioOptions, run_portfolio
@@ -26,8 +28,8 @@ class TestOptions:
             PortfolioOptions(budget_seconds=-1.0)
 
     def test_duplicate_members_rejected(self):
-        # The process backend tracks race members by name; duplicates would
-        # orphan all but the last process of that name at the deadline.
+        # Race results are keyed by member name; a duplicate would run the
+        # same work twice and overwrite its twin's outcome.
         with pytest.raises(ServingError):
             PortfolioOptions(algorithms=("greedy_min_term", "exhaustive", "exhaustive"))
 
@@ -35,10 +37,53 @@ class TestOptions:
 class TestRace:
     def test_best_result_is_at_least_as_good_as_every_member(self, four_service_problem):
         race = run_portfolio(four_service_problem, PortfolioOptions(budget_seconds=None))
-        assert set(race.results) == {"greedy_min_term", "beam_search", "branch_and_bound"}
+        members = {"greedy_min_term", "beam_search", "branch_and_bound"}
+        assert "greedy_min_term" in race.results
+        # The race ends at the first proof: every member that had not
+        # finished by then was stopped, none timed out or failed.
+        assert set(race.stopped) == members - set(race.results)
+        assert not race.timed_out and not race.errors
         for result in race.results.values():
             assert race.best.cost <= result.cost + 1e-9
-        assert race.best.optimal  # branch-and-bound completed and is exact
+        assert race.best.optimal  # some exact member completed and proved it
+
+    def test_the_first_proof_ends_the_race(self, make_random_problem):
+        problem = make_random_problem(24, 3)
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "branch_and_bound", "beam_search"),
+            budget_seconds=None,
+            # Seconds of beam work; branch-and-bound proves in milliseconds.
+            algorithm_options={"beam_search": {"width": 4096}},
+        )
+        race = run_portfolio(problem, options)
+        assert race.best.algorithm == "branch_and_bound" and race.best.optimal
+        assert race.stopped == ("beam_search",)
+        assert "beam_search" not in race.results
+        assert not race.timed_out
+
+    def test_cost_ties_go_to_the_earlier_ladder_member(self, four_service_problem, monkeypatch):
+        optimum = optimize(four_service_problem, algorithm="exhaustive").order
+        worst = max(itertools.permutations(range(4)), key=four_service_problem.cost)
+
+        def member(name, delay, order):
+            def runner(problem, **options):
+                time.sleep(delay)
+                plan = problem.plan(order)
+                return OptimizationResult(plan=plan, cost=plan.cost, algorithm=name, optimal=False)
+
+            return runner
+
+        # Both racing members return the optimal plan without proving it; the
+        # one earlier in the ladder finishes last.
+        monkeypatch.setitem(ALGORITHMS, "worse_seed", member("worse_seed", 0.0, worst))
+        monkeypatch.setitem(ALGORITHMS, "early_member", member("early_member", 0.2, optimum))
+        monkeypatch.setitem(ALGORITHMS, "late_member", member("late_member", 0.0, optimum))
+        options = PortfolioOptions(
+            algorithms=("worse_seed", "early_member", "late_member"), budget_seconds=None
+        )
+        race = run_portfolio(four_service_problem, options)
+        assert race.results["early_member"].cost == race.results["late_member"].cost
+        assert race.best.algorithm == "early_member"
 
     def test_zero_budget_still_returns_the_anytime_seed(self, four_service_problem):
         race = run_portfolio(four_service_problem, PortfolioOptions(budget_seconds=0.0))
@@ -122,3 +167,37 @@ class TestLifecycle:
             second = portfolio.optimize(three_service_problem)
             assert first.best.plan.problem is four_service_problem
             assert second.best.plan.problem is three_service_problem
+
+
+class TestStopSignal:
+    def test_over_budget_exact_member_is_terminated_at_the_deadline(
+        self, make_resistant_problem, monkeypatch
+    ):
+        """An over-size exhaustive member (11! plans, minutes of work) costs
+        the race its budget, and its thread is free again right after."""
+        problem = make_resistant_problem(11)
+        threads = []
+        exhaustive = ALGORITHMS["exhaustive"]
+
+        def tracked(problem, **options):
+            threads.append(threading.current_thread())
+            return exhaustive(problem, **options)
+
+        monkeypatch.setitem(ALGORITHMS, "exhaustive", tracked)
+        budget = 0.5
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "exhaustive"),
+            budget_seconds=budget,
+            # Lift the size guard so exhaustive really starts chewing.
+            algorithm_options={"exhaustive": {"max_size": 12}},
+        )
+        started = time.perf_counter()
+        race = run_portfolio(problem, options)
+        assert time.perf_counter() - started < budget + 1.0
+        assert race.timed_out == ("exhaustive",)
+        assert race.best.algorithm == "greedy_min_term"
+        problem.validate_plan(race.best.order)
+        [member_thread] = threads
+        assert member_thread.name.startswith("portfolio")
+        member_thread.join(timeout=1.0)
+        assert not member_thread.is_alive(), "the stopped member must give its thread back"

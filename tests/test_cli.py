@@ -257,7 +257,3 @@ class TestBench:
     def test_unknown_benchmark_is_a_clean_error(self, tmp_path, capsys):
         assert main(["bench", "--benchmarks-dir", str(tmp_path), "nope"]) == 2
         assert "no benchmark module" in capsys.readouterr().err
-
-    def test_plan_accepts_the_process_backend(self, problem_file, capsys):
-        assert main(["plan", problem_file, "--backend", "processes", "--budget", "5"]) == 0
-        assert "portfolio" in capsys.readouterr().out
