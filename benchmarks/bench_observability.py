@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import statistics
 import time
@@ -43,6 +41,7 @@ from pathlib import Path
 from repro.core import OrderingProblem
 from repro.obs import activate_trace, trace_span
 from repro.serving import PlanService, PlanServiceConfig
+from repro.utils import runtime_provenance
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_observability.json"
 
@@ -212,9 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "bench_observability",
         "mode": "quick" if args.quick else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "provenance": runtime_provenance(),
         "warm_cache_overhead": overhead,
         "primitives": primitives,
         "acceptance": acceptance,

@@ -26,12 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import random
 import time
 from pathlib import Path
 
-from repro.core import OrderingProblem, optimize
+from repro.core import optimize
 from repro.utils import runtime_provenance
+from repro.workloads import hard_problem
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_optimizers.json"
 
@@ -71,19 +71,6 @@ QUICK_CELLS = [
     ("greedy_min_term", 9),
     ("greedy_nearest_successor", 9),
 ]
-
-
-def hard_problem(size: int, seed: int = 0) -> OrderingProblem:
-    """A pruning-resistant instance (mirrors ``bench_serving._hard_problem``)."""
-    rng = random.Random(seed)
-    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
-    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
-    rows = [
-        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
-    ]
-    return OrderingProblem.from_parameters(
-        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
-    )
 
 
 def time_cell(algorithm: str, size: int, repeats: int) -> dict:

@@ -1,26 +1,28 @@
-"""Batch-throughput and hard-cancellation numbers of the parallel engine.
+"""Batch-throughput and hard-cancellation numbers of bulk plan compilation.
 
 The benchmark replays a *serving trace* — ``unique`` pruning-resistant
 problems arriving ``duplication`` times each, shuffled, every occurrence its
 own :class:`~repro.core.problem.OrderingProblem` instance (exactly how
 repeated traffic reaches a service) — through two paths:
 
-* **sequential** — the pre-engine path: one cold ``optimize()`` call per
-  request, on the parent process;
-* **engine** — :meth:`repro.parallel.pool.OptimizerPool.optimize_many` at
-  several worker counts: batch single-flight collapses the trace to its
-  unique problems, and the worker processes compile those concurrently with
-  warm per-problem evaluator caches.
+* **sequential** — one cold ``optimize()`` call per request, on the parent
+  process;
+* **engine** — :func:`repro.experiments.harness.optimize_suite` at 1, 2 and
+  4 workers (1 and 2 with ``--quick``): it collapses the trace to its unique
+  problems and compiles those in process (1 worker) or on a process pool.
 
 The reported batch speedup therefore compounds *deduplication* (pays off
-everywhere, including single-core CI containers) with *multi-core scaling*
-(pays off on real hardware); the JSON records the workload's duplication
-factor, the per-worker-count runs, and a no-dedup run so the two effects can
-be separated.  The second section demonstrates cooperative cancellation: a
-portfolio race with a deliberately over-budget exhaustive member
-(11 services, ~minutes of enumeration) must return within its budget, and
-the member's thread must exit within a grace period after that, because the
-race's stop signal ends the enumeration at its next prefix.
+everywhere, including single-core CI containers; the 1-worker row is
+deduplication alone) with *multi-core scaling* (pays off on real hardware).
+Pool rows exclude the executor's startup and shutdown, measured on an idle
+executor of the same size just before each run and recorded as
+``executor_seconds``.
+
+The second section demonstrates cooperative cancellation: a portfolio race
+with a deliberately over-budget exhaustive member (11 services, ~minutes of
+enumeration) must return within its budget, and the member's thread must
+exit within a grace period after that, because the race's stop signal ends
+the enumeration at its next prefix.
 
 Usage::
 
@@ -33,17 +35,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
-import subprocess
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.core import OrderingProblem, optimize
-from repro.parallel import OptimizerPool
+from repro.experiments import optimize_suite
 from repro.serving import PortfolioOptimizer, PortfolioOptions
+from repro.sharding.process import preferred_context
+from repro.utils import runtime_provenance
+from repro.workloads import hard_problem
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_parallel.json"
 
@@ -53,34 +56,6 @@ ALGORITHM = "branch_and_bound"
 ACCEPTANCE_WORKERS = 4
 ACCEPTANCE_SPEEDUP = 2.0
 """Acceptance: >= 2x batch throughput at 4 workers vs the sequential path."""
-
-
-def git_commit() -> str | None:
-    """The checkout's commit (``-dirty`` when uncommitted changes were measured)."""
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return described.stdout.strip() or None
-
-
-def hard_problem(size: int, seed: int) -> OrderingProblem:
-    """A pruning-resistant instance (mirrors ``bench_optimizers.hard_problem``)."""
-    rng = random.Random(seed)
-    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
-    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
-    rows = [
-        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
-    ]
-    return OrderingProblem.from_parameters(
-        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
-    )
 
 
 def serving_trace(
@@ -99,13 +74,25 @@ def time_sequential(trace: list[OrderingProblem]) -> float:
     return time.perf_counter() - started
 
 
-def time_engine(trace: list[OrderingProblem], workers: int, dedup: bool) -> float:
-    with OptimizerPool(workers=workers) as pool:
-        started = time.perf_counter()
-        results = pool.optimize_many(trace, algorithm=ALGORITHM, dedup=dedup)
-        elapsed = time.perf_counter() - started
+def executor_seconds(workers: int) -> float:
+    """Start an idle pool as ``optimize_suite`` does, run one no-op per
+    worker, and shut it down (0 for one worker, which runs in process)."""
+    if workers <= 1:
+        return 0.0
+    started = time.perf_counter()
+    with ProcessPoolExecutor(workers, mp_context=preferred_context()) as executor:
+        list(executor.map(abs, range(workers)))
+    return time.perf_counter() - started
+
+
+def time_engine(trace: list[OrderingProblem], workers: int) -> tuple[float, float]:
+    """``optimize_suite`` wall time without the executor's lifecycle, and that lifecycle."""
+    overhead = executor_seconds(workers)
+    started = time.perf_counter()
+    results = optimize_suite(trace, ALGORITHM, workers=workers)
+    elapsed = time.perf_counter() - started
     assert len(results) == len(trace)
-    return elapsed
+    return elapsed - overhead, overhead
 
 
 def run_throughput(quick: bool) -> dict:
@@ -127,37 +114,20 @@ def run_throughput(quick: bool) -> dict:
     for workers in worker_counts:
         # Fresh instances per run: no evaluator cache leaks between paths.
         trace = serving_trace(size, unique, duplication)
-        elapsed = time_engine(trace, workers, dedup=True)
+        elapsed, overhead = time_engine(trace, workers)
         run = {
             "workers": workers,
-            "dedup": True,
             "seconds": elapsed,
+            "executor_seconds": overhead,
             "requests_per_second": requests / elapsed,
             "speedup_vs_sequential": sequential_seconds / elapsed,
         }
         runs.append(run)
         print(
-            f"engine w={workers} dedup: {elapsed:.3f} s -> "
+            f"engine w={workers}: {elapsed:.3f} s (+{overhead:.3f} s executor) -> "
             f"{run['requests_per_second']:.1f} req/s "
             f"({run['speedup_vs_sequential']:.2f}x vs sequential)"
         )
-    # One no-dedup run at the top worker count isolates pure process scaling
-    # (every request compiled, warm caches still amortize decode + kernel).
-    trace = serving_trace(size, unique, duplication)
-    no_dedup_seconds = time_engine(trace, worker_counts[-1], dedup=False)
-    runs.append(
-        {
-            "workers": worker_counts[-1],
-            "dedup": False,
-            "seconds": no_dedup_seconds,
-            "requests_per_second": requests / no_dedup_seconds,
-            "speedup_vs_sequential": sequential_seconds / no_dedup_seconds,
-        }
-    )
-    print(
-        f"engine w={worker_counts[-1]} no-dedup: {no_dedup_seconds:.3f} s "
-        f"({sequential_seconds / no_dedup_seconds:.2f}x vs sequential)"
-    )
 
     return {
         "workload": {
@@ -242,10 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     throughput = run_throughput(args.quick)
     cancellation = run_cancellation(args.quick)
 
-    top_run = max(
-        (run for run in throughput["engine_runs"] if run["dedup"]),
-        key=lambda run: run["workers"],
-    )
+    top_run = max(throughput["engine_runs"], key=lambda run: run["workers"])
     acceptance = {
         "batch_speedup_threshold": ACCEPTANCE_SPEEDUP,
         "batch_speedup_workers": top_run["workers"],
@@ -258,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "bench_parallel",
         "mode": "quick" if args.quick else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "git_commit": git_commit(),
+        "provenance": runtime_provenance(),
         "throughput": throughput,
         "cancellation": cancellation,
         "acceptance": acceptance,

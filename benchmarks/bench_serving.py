@@ -17,33 +17,15 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -v -s``.
 from __future__ import annotations
 
 import concurrent.futures
-import random
 import time
 
-from repro.core import OrderingProblem, optimize
+from repro.core import optimize
 from repro.serving import PlanService, PlanServiceConfig, PortfolioOptions, run_portfolio
 from repro.utils.timing import Stopwatch
-from repro.workloads import default_spec, generate_problem
+from repro.workloads import default_spec, generate_problem, hard_problem
 
 
-def _hard_problem(size: int, seed: int) -> OrderingProblem:
-    """A pruning-resistant instance: near-unit selectivities keep every prefix
-    product close to 1, so the branch-and-bound bounds close few subtrees and
-    the search has to explore (the default workload generator's selective
-    services make B&B finish in a couple of milliseconds, which is not a
-    meaningful 'cold' baseline)."""
-    rng = random.Random(seed)
-    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
-    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
-    rows = [
-        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
-    ]
-    return OrderingProblem.from_parameters(
-        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
-    )
-
-
-_PROBLEM_12 = _hard_problem(12, seed=0)
+_PROBLEM_12 = hard_problem(12, seed=0)
 _MIXED_PROBLEMS = [
     generate_problem(default_spec(size), seed=seed)
     for size in (6, 8, 10)

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import time
 from pathlib import Path
@@ -49,6 +47,8 @@ from repro.core import OrderingProblem
 from repro.serving import PlanServiceConfig
 from repro.sharding import ShardRouter, ShardRouterConfig
 from repro.sharding.ring import HashRing
+from repro.utils import runtime_provenance
+from repro.workloads import hard_problem
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_sharding.json"
 
@@ -57,19 +57,6 @@ ALGORITHM = "branch_and_bound"
 
 ACCEPTANCE_SHARDS = 4
 """Acceptance: this many shards must beat one shard on the mixed trace."""
-
-
-def hard_problem(size: int, seed: int) -> OrderingProblem:
-    """A pruning-resistant instance (mirrors ``bench_parallel.hard_problem``)."""
-    rng = random.Random(seed)
-    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
-    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
-    rows = [
-        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
-    ]
-    return OrderingProblem.from_parameters(
-        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
-    )
 
 
 def serving_trace(
@@ -262,9 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "benchmark": "bench_sharding",
         "mode": "quick" if args.quick else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "provenance": runtime_provenance(),
         "throughput": throughput,
         "rebalance": rebalance,
         "acceptance": acceptance,

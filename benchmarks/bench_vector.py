@@ -40,9 +40,9 @@ import random
 import time
 from pathlib import Path
 
-from repro.core import OrderingProblem
 from repro.core.vector import evaluation_kernel, numpy_available
 from repro.utils import runtime_provenance
+from repro.workloads import hard_problem
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_vector.json"
 
@@ -52,19 +52,6 @@ FULL_PLAN_BATCHES = [16, 64, 256, 1024]
 QUICK_PLAN_BATCHES = [16, 64]
 FULL_BEAM_WIDTHS = [4, 16, 64]
 QUICK_BEAM_WIDTHS = [4, 16]
-
-
-def hard_problem(size: int, seed: int = 0) -> OrderingProblem:
-    """A pruning-resistant instance (mirrors ``bench_optimizers.hard_problem``)."""
-    rng = random.Random(seed)
-    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
-    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
-    rows = [
-        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
-    ]
-    return OrderingProblem.from_parameters(
-        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
-    )
 
 
 def best_seconds(fn, repeats: int, inner: int) -> float:

@@ -1,8 +1,8 @@
 """RL003 — lock discipline for ``# guarded-by:`` annotated attributes.
 
 The serving stack's shared-state classes (``PlanCache``, ``ServingMetrics``,
-``OptimizerPool``, ``ResponseMultiplexer``, ``SpanStore``) each pair mutable
-attributes with one lock.  The pairing lives only in developers' heads until
+``ResponseMultiplexer``, ``SpanStore``) each pair mutable attributes with one
+lock.  The pairing lives only in developers' heads until
 it is written down — and an unguarded read slipped into
 ``ResponseMultiplexer.close()`` exactly that way.  This rule makes the
 pairing checkable::

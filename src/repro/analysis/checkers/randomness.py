@@ -5,7 +5,7 @@ golden-file tests, and cross-shard consistency all assume that the same
 problem yields the same plan.  A call to the *module-level* ``random``
 functions (``random.random()``, ``random.choice()``, ...) consults the
 process-global, time-seeded RNG — nondeterminism that silently leaks into
-plans and metrics.  Inside ``core/``, ``serving/`` and ``parallel/`` the
+plans and metrics.  Inside ``core/`` and ``serving/`` the
 sanctioned spelling is an explicit ``random.Random(seed)`` instance threaded
 from the caller (see ``ServingMetrics``'s reservoir), so this rule bans the
 module-level functions there, through any alias, including
@@ -22,7 +22,7 @@ from repro.analysis.model import Finding, Severity
 
 __all__ = ["SeededRandomnessChecker"]
 
-_SCOPED_DIRS = frozenset({"core", "serving", "parallel"})
+_SCOPED_DIRS = frozenset({"core", "serving"})
 
 _ALLOWED = frozenset(
     {
@@ -39,7 +39,7 @@ _ALLOWED = frozenset(
 class SeededRandomnessChecker:
     rule = "RL007"
     name = "seeded-randomness"
-    description = "core/serving/parallel must use seeded RNG instances, not the global RNG"
+    description = "core/serving must use seeded RNG instances, not the global RNG"
     severity = Severity.ERROR
     default = True
 

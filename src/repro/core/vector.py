@@ -218,9 +218,9 @@ def prepare_kernel(problem: "OrderingProblem") -> str:
 
     Builds the problem's (cached) scalar evaluator, plus its shared read-only
     numpy arrays when the resolved kernel is ``vector`` — so a long-lived
-    holder of the problem (an optimizer-pool worker's warm cache, a portfolio
-    about to race several members over one instance) pays the array
-    extraction once, and every optimizer run on the instance starts from it.
+    holder of the problem (a portfolio about to race several members over one
+    instance) pays the array extraction once, and every optimizer run on the
+    instance starts from it.
     """
     evaluator = problem.evaluator()
     kernel = resolve_kernel(size=problem.size)

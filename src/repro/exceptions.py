@@ -74,7 +74,7 @@ class ExperimentError(ReproError):
 
 
 class ParallelError(ReproError):
-    """The parallel execution engine was misconfigured or a worker process failed."""
+    """A multiprocessing start method is unsupported or a worker process died."""
 
 
 class ServingError(ReproError):

@@ -26,44 +26,32 @@ def run_e1_optimality(
 ) -> ExperimentResult:
     """Run the optimality cross-check and return its table.
 
-    ``workers`` > 1 bulk-compiles each per-size suite on the parallel
-    engine's worker pool (identical results, less wall-clock on multi-core
-    machines).
+    ``workers`` > 1 bulk-compiles each per-size suite on that many worker
+    processes (identical results, less wall-clock on multi-core machines).
     """
     table = Table(
         ["n", "instances", "bb = exhaustive", "bb = dp", "max relative gap"],
         title="E1: branch-and-bound vs exact baselines",
     )
     all_match = True
-    # One pool for the whole experiment: worker startup is paid once and the
-    # three per-size algorithm sweeps share the workers' warm problem caches.
-    pool = None
-    if workers is not None and workers > 1:
-        from repro.parallel import OptimizerPool
-
-        pool = OptimizerPool(workers=workers)
-    try:
-        for size in sizes:
-            problems = generate_suite(default_spec(size), instances_per_size, seed=seed + size)
-            matches_exhaustive = 0
-            matches_dp = 0
-            worst_gap = 0.0
-            exhaustive_results = optimize_suite(problems, "exhaustive", pool=pool)
-            bb_results = optimize_suite(problems, "branch_and_bound", pool=pool)
-            dp_results = optimize_suite(problems, "dynamic_programming", pool=pool)
-            for optimal, bb, dp in zip(exhaustive_results, bb_results, dp_results):
-                gap = abs(bb.cost - optimal.cost) / max(optimal.cost, 1e-12)
-                worst_gap = max(worst_gap, gap)
-                if gap <= 1e-9:
-                    matches_exhaustive += 1
-                if abs(bb.cost - dp.cost) / max(dp.cost, 1e-12) <= 1e-9:
-                    matches_dp += 1
-            if matches_exhaustive != len(problems) or matches_dp != len(problems):
-                all_match = False
-            table.add_row(size, len(problems), matches_exhaustive, matches_dp, worst_gap)
-    finally:
-        if pool is not None:
-            pool.close()
+    for size in sizes:
+        problems = generate_suite(default_spec(size), instances_per_size, seed=seed + size)
+        matches_exhaustive = 0
+        matches_dp = 0
+        worst_gap = 0.0
+        exhaustive_results = optimize_suite(problems, "exhaustive", workers=workers)
+        bb_results = optimize_suite(problems, "branch_and_bound", workers=workers)
+        dp_results = optimize_suite(problems, "dynamic_programming", workers=workers)
+        for optimal, bb, dp in zip(exhaustive_results, bb_results, dp_results):
+            gap = abs(bb.cost - optimal.cost) / max(optimal.cost, 1e-12)
+            worst_gap = max(worst_gap, gap)
+            if gap <= 1e-9:
+                matches_exhaustive += 1
+            if abs(bb.cost - dp.cost) / max(dp.cost, 1e-12) <= 1e-9:
+                matches_dp += 1
+        if matches_exhaustive != len(problems) or matches_dp != len(problems):
+            all_match = False
+        table.add_row(size, len(problems), matches_exhaustive, matches_dp, worst_gap)
 
     notes = [
         "Every instance matches the exhaustive optimum, as the paper's optimality claim requires."

@@ -56,7 +56,7 @@ def run_e4_plan_quality(
 
     The exact optima are bulk-compiled per level through
     :func:`~repro.experiments.harness.optimize_suite` (``workers`` > 1 fans
-    them out over the parallel engine's worker pool).
+    them out over that many worker processes).
     """
     suites = heterogeneity_suite(
         service_count=service_count,
@@ -68,33 +68,23 @@ def run_e4_plan_quality(
     table = Table(headers, title="E4: plan quality vs communication heterogeneity")
 
     degradation: dict[str, list[float]] = {name: [] for name in BASELINES}
-    # One pool for the whole sweep: worker startup is paid once, not per level.
-    pool = None
-    if workers is not None and workers > 1:
-        from repro.parallel import OptimizerPool
-
-        pool = OptimizerPool(workers=workers)
-    try:
-        for level in levels:
-            problems = suites[level]
-            optimal_costs: list[float] = []
-            ratios: dict[str, list[float]] = {name: [] for name in BASELINES}
-            optima = optimize_suite(problems, "branch_and_bound", pool=pool)
-            for index, (problem, exact) in enumerate(zip(problems, optima)):
-                optimum = exact.cost
-                optimal_costs.append(optimum)
-                for name in BASELINES:
-                    cost = _baseline_cost(name, problem, seed=seed + index)
-                    ratios[name].append(cost / max(optimum, 1e-12))
-            row = [level, sum(optimal_costs) / len(optimal_costs)]
+    for level in levels:
+        problems = suites[level]
+        optimal_costs: list[float] = []
+        ratios: dict[str, list[float]] = {name: [] for name in BASELINES}
+        optima = optimize_suite(problems, "branch_and_bound", workers=workers)
+        for index, (problem, exact) in enumerate(zip(problems, optima)):
+            optimum = exact.cost
+            optimal_costs.append(optimum)
             for name in BASELINES:
-                mean_ratio = sum(ratios[name]) / len(ratios[name])
-                degradation[name].append(mean_ratio)
-                row.append(round(mean_ratio, 4))
-            table.add_row(*row)
-    finally:
-        if pool is not None:
-            pool.close()
+                cost = _baseline_cost(name, problem, seed=seed + index)
+                ratios[name].append(cost / max(optimum, 1e-12))
+        row = [level, sum(optimal_costs) / len(optimal_costs)]
+        for name in BASELINES:
+            mean_ratio = sum(ratios[name]) / len(ratios[name])
+            degradation[name].append(mean_ratio)
+            row.append(round(mean_ratio, 4))
+        table.add_row(*row)
 
     centralized = degradation["srivastava_centralized"]
     notes = [

@@ -6,51 +6,109 @@ plot), free-form notes, and the parameters that produced it.  The harness
 provides the result container, a registry, markdown rendering used to
 regenerate ``EXPERIMENTS.md``, and :func:`optimize_suite` — the bulk
 compilation entry point experiments use to solve whole instance suites,
-optionally on the parallel engine's worker pool.
+optionally on worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.optimizer import optimize
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, OptimizationError, ParallelError, ReproError
+from repro.serialization import problem_from_wire, problem_to_wire
 from repro.utils.tables import Table
 
 __all__ = ["ExperimentResult", "Experiment", "ExperimentRegistry", "optimize_suite"]
+
+
+def _solve(payload: tuple, algorithm: str, options: dict) -> tuple:
+    """Optimize one wire payload: ``(order, algorithm, optimal, statistics)``."""
+    result = optimize(problem_from_wire(payload), algorithm=algorithm, **options)
+    return result.order, result.algorithm, result.optimal, result.statistics
+
+
+def _ignore_sigint() -> None:
+    """Worker initializer: a foreground Ctrl-C is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def optimize_suite(
     problems: Sequence[OrderingProblem],
     algorithm: str = "branch_and_bound",
     workers: int | None = None,
-    pool: "object | None" = None,
     **options: object,
 ) -> list[OptimizationResult]:
     """Optimize every problem of a suite with one algorithm, preserving order.
 
-    With ``workers`` unset (or 1) the suite is compiled sequentially in
-    process — fully deterministic, no setup cost, the right default for the
-    small suites of the reconstructed experiments.  With ``workers > 1`` the
-    suite is handed to the parallel engine's
-    :class:`~repro.parallel.pool.OptimizerPool`, which fans the problems out
-    over worker processes (deduplicating structural twins); the results are
-    identical either way, the wire codec being lossless.  Callers compiling
-    several suites should create one pool and pass it via ``pool`` — worker
-    startup is paid once and the workers' warm evaluator caches survive
-    across calls.
-    """
-    if pool is not None:
-        return pool.optimize_many(problems, algorithm=algorithm, options=options)  # type: ignore[attr-defined]
-    if workers is not None and workers > 1:
-        from repro.parallel import OptimizerPool
+    Structural twins (equal :func:`~repro.serialization.problem_to_wire`
+    payloads) are optimized once.  With ``workers`` unset (or 1) each unique
+    payload is optimized in process; with ``workers > 1`` on a
+    :class:`~concurrent.futures.ProcessPoolExecutor` of up to that many
+    processes.  Every answer is re-attached to its own submitted instance
+    through ``problem.plan(order)``, so each plan is re-validated and
+    re-costed in this process; the wire codec being lossless, the results
+    are identical either way.
 
-        with OptimizerPool(workers=workers) as shared:
-            return shared.optimize_many(problems, algorithm=algorithm, options=options)
-    return [optimize(problem, algorithm=algorithm, **options) for problem in problems]
+    Raises :class:`~repro.exceptions.OptimizationError` naming the position
+    of the first failing problem, and :class:`~repro.exceptions.ParallelError`
+    if a worker process dies.
+    """
+    payloads = [problem_to_wire(problem) for problem in problems]
+    first_position: dict[tuple, int] = {}
+    for position, payload in enumerate(payloads):
+        first_position.setdefault(payload, position)
+    answers: dict[tuple, tuple] = {}
+    current: tuple | None = None  # the payload being optimized or awaited
+    try:
+        if workers is None or workers <= 1:
+            for current in first_position:
+                answers[current] = _solve(current, algorithm, options)
+        elif first_position:
+            from repro.sharding.process import preferred_context
+
+            executor = ProcessPoolExecutor(
+                min(workers, len(first_position)),
+                mp_context=preferred_context(),
+                initializer=_ignore_sigint,
+            )
+            try:
+                futures = {
+                    payload: executor.submit(_solve, payload, algorithm, options)
+                    for payload in first_position
+                }
+                for current, future in futures.items():
+                    answers[current] = future.result()
+            finally:
+                executor.shutdown(cancel_futures=True)
+    except BrokenProcessPool as error:
+        raise ParallelError(f"a worker process died while optimizing the suite: {error}") from error
+    except (ReproError, TypeError) as error:
+        position = first_position[current]
+        name = problems[position].name
+        raise OptimizationError(
+            f"optimize_suite failed on problem {position}"
+            f"{f' ({name!r})' if name else ''}: {type(error).__name__}: {error}"
+        ) from error
+    results = []
+    for problem, payload in zip(problems, payloads):
+        order, solver, optimal, statistics = answers[payload]
+        plan = problem.plan(order)
+        results.append(
+            OptimizationResult(
+                plan=plan,
+                cost=plan.cost,
+                algorithm=solver,
+                optimal=optimal,
+                statistics=replace(statistics, extra=dict(statistics.extra)),
+            )
+        )
+    return results
 
 
 @dataclass

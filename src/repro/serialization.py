@@ -141,14 +141,14 @@ PROBLEM_WIRE_VERSION = 1
 def problem_to_wire(problem: OrderingProblem) -> tuple:
     """Encode ``problem`` as a compact, hashable tuple of flat arrays.
 
-    This is the codec the parallel execution engine (:mod:`repro.parallel`)
-    ships across process boundaries: everything is a nested tuple of
-    primitives — costs, selectivities, transfer rows, sink transfers, and the
-    precedence constraints collapsed into per-service predecessor *bitmasks* —
-    so pickling never walks the :class:`OrderingProblem` object graph
+    This is the codec process shards and experiment workers ship across
+    process boundaries: everything is a nested tuple of primitives — costs,
+    selectivities, transfer rows, sink transfers, and the precedence
+    constraints collapsed into per-service predecessor *bitmasks* — so
+    pickling never walks the :class:`OrderingProblem` object graph
     (services, matrices, cached evaluation kernel).  The payload is hashable,
-    which is what lets worker processes key their warm per-problem evaluator
-    caches on it directly.
+    which is what lets :func:`repro.experiments.harness.optimize_suite`
+    deduplicate structural twins by it directly.
 
     Round trip: :func:`problem_from_wire` rebuilds a problem whose parameters
     are bitwise identical to the original's (no quantization is applied), so

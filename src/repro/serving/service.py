@@ -79,6 +79,11 @@ __all__ = ["PlanServiceConfig", "PlanResponse", "PlanService"]
 
 _log = logging.getLogger("repro.serving")
 
+REVALIDATION_WORKERS = 2
+"""Threads refreshing stale/drifted cache entries in the background; each
+refresh is a portfolio race without a budget, which ends at the first proof
+of optimality."""
+
 
 @dataclass(frozen=True)
 class PlanServiceConfig:
@@ -141,11 +146,6 @@ class PlanServiceConfig:
     """Requests allowed to be pending beyond ``max_in_flight`` before
     admission control rejects."""
 
-    revalidation_workers: int = 2
-    """Threads refreshing stale/drifted cache entries in the background; each
-    refresh is a portfolio race without a budget, which ends at the first
-    proof of optimality."""
-
     observability: bool = False
     """Turn on request tracing and kernel profiling (see :mod:`repro.obs`).
     Metrics counters are always maintained; this flag gates the parts with
@@ -169,10 +169,6 @@ class PlanServiceConfig:
             raise ServingError(f"max_in_flight must be at least 1, got {self.max_in_flight!r}")
         if self.queue_depth < 0:
             raise ServingError(f"queue_depth must be non-negative, got {self.queue_depth!r}")
-        if self.revalidation_workers < 1:
-            raise ServingError(
-                f"revalidation_workers must be at least 1, got {self.revalidation_workers!r}"
-            )
         if self.drift_threshold is not None and self.drift_threshold < 0:
             raise ServingError(
                 f"drift_threshold must be non-negative, got {self.drift_threshold!r}"
@@ -306,7 +302,7 @@ class PlanService:
         self._pending = 0
         self._pending_lock = threading.Lock()
         self._revalidator = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.revalidation_workers, thread_name_prefix="revalidate"
+            max_workers=REVALIDATION_WORKERS, thread_name_prefix="revalidate"
         )
         self._revalidating: set[str] = set()
         self._revalidating_lock = threading.Lock()
@@ -361,10 +357,6 @@ class PlanService:
         with self._admitted("service.submit"):
             return await _run_async(self._answer(problem, budget_seconds, fingerprint))
 
-    def submit_batch(self, problems: Sequence[OrderingProblem]) -> list[PlanResponse]:
-        """Answer several requests, preserving order (each admitted separately)."""
-        return [self.submit(problem) for problem in problems]
-
     def optimize_batch(
         self,
         problems: Sequence[OrderingProblem],
@@ -373,7 +365,7 @@ class PlanService:
     ) -> list[PlanResponse]:
         """Answer a whole batch of requests as one bulk-compilation unit.
 
-        Unlike :meth:`submit_batch` (N independent requests, N admissions),
+        Unlike N :meth:`submit` calls (N independent requests, N admissions),
         the batch is admitted *once*, answered from the cache where possible,
         and its misses are deduplicated by fingerprint: structurally identical
         problems trigger one optimization whose answer every duplicate shares

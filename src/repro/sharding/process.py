@@ -5,10 +5,10 @@ and routing structure but not CPU.  A :class:`ProcessShard` moves the whole
 service — cache, portfolio, admission control — into its own OS process:
 
 * problems travel as the compact array payloads of
-  :func:`repro.serialization.problem_to_wire` (the wire codec that already
-  carries the optimizer pool's traffic), and answers come back as the flat
-  primitive documents of :func:`repro.serving.http.response_to_dict` — no
-  pickled object graphs in either direction;
+  :func:`repro.serialization.problem_to_wire` (the wire codec that also
+  carries experiment suites to worker processes), and answers come back as
+  the flat primitive documents of :func:`repro.serving.http.response_to_dict`
+  — no pickled object graphs in either direction;
 * inside the child, each request is handled on an executor thread through
   the service's blocking surface, so one shard process serves concurrent
   submissions (admission control included);
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import multiprocessing
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Sequence
@@ -37,18 +38,18 @@ from repro.core.problem import OrderingProblem
 from repro.exceptions import (
     AdmissionError,
     OptimizationError,
+    ParallelError,
     ReproError,
     ServingError,
     ShardingError,
 )
 from repro.obs.trace import Span, activate_trace, current_trace, emit_spans, trace_span
-from repro.parallel.pool import preferred_context
 from repro.serialization import problem_from_wire, problem_to_wire
 from repro.serving.http import response_from_dict, response_to_dict
 from repro.serving.service import PlanResponse, PlanService, PlanServiceConfig
 from repro.sharding.multiplexer import ResponseMultiplexer, default_multiplexer
 
-__all__ = ["ProcessShard"]
+__all__ = ["ProcessShard", "preferred_context"]
 
 _SHUTDOWN = None
 """Sentinel the shard child interprets as 'drain and exit'."""
@@ -60,6 +61,27 @@ _ERROR_TYPES = {
     "ShardingError": ShardingError,
 }
 """Shard-side error types re-raised with their own class in the parent."""
+
+
+def preferred_context(method: str | None = None) -> multiprocessing.context.BaseContext:
+    """A multiprocessing context: ``method`` when given, else the cheapest.
+
+    ``method`` is one of :func:`multiprocessing.get_all_start_methods`
+    (``fork`` / ``forkserver`` / ``spawn``); ``None`` picks ``fork`` where
+    supported — the cheap default — leaving deployments that fork from
+    threaded parents free to ask for ``forkserver`` or ``spawn`` instead
+    (see :attr:`repro.serving.service.PlanServiceConfig.mp_context`, which
+    picks the start method of shard processes).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    if method is None:
+        return multiprocessing.get_context("fork" if "fork" in methods else None)
+    if method not in methods:
+        raise ParallelError(
+            f"unsupported multiprocessing start method {method!r}; "
+            f"available: {', '.join(methods)}"
+        )
+    return multiprocessing.get_context(method)
 
 
 def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id: str) -> None:

@@ -20,6 +20,7 @@ from repro.workloads.scenarios import (
 from repro.workloads.suites import (
     SelectivityRegime,
     default_spec,
+    hard_problem,
     heterogeneity_suite,
     scaling_suite,
     selectivity_suite,
@@ -43,6 +44,7 @@ __all__ = [
     "federated_document_pipeline",
     "generate_problem",
     "generate_suite",
+    "hard_problem",
     "heterogeneity_suite",
     "scaling_suite",
     "selectivity_suite",

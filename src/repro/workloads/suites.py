@@ -8,6 +8,7 @@ workloads the benchmarks run on.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from repro.core.problem import OrderingProblem
@@ -18,6 +19,7 @@ from repro.workloads.generator import WorkloadSpec, generate_problem, generate_s
 __all__ = [
     "SelectivityRegime",
     "default_spec",
+    "hard_problem",
     "scaling_suite",
     "heterogeneity_suite",
     "selectivity_suite",
@@ -39,6 +41,27 @@ def default_spec(service_count: int = 8) -> WorkloadSpec:
         selectivity=Uniform(0.4, 1.0),
         transfer=Uniform(0.1, 3.0),
         name="baseline",
+    )
+
+
+def hard_problem(size: int, seed: int = 0) -> OrderingProblem:
+    """A pruning-resistant instance for benchmarks and search-limit tests.
+
+    Near-unit selectivities keep every prefix product close to 1, so the
+    branch-and-bound bounds close few subtrees and exact searches have to
+    explore (the default family's selective services let B&B finish in a
+    couple of milliseconds, which is not a meaningful cold baseline).  The
+    draw order — costs, selectivities, then the transfer matrix row by row —
+    is fixed: committed ``BENCH_*.json`` instances depend on it.
+    """
+    rng = random.Random(seed)
+    costs = [rng.uniform(1.0, 1.3) for _ in range(size)]
+    selectivities = [rng.uniform(0.9, 1.0) for _ in range(size)]
+    rows = [
+        [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)] for i in range(size)
+    ]
+    return OrderingProblem.from_parameters(
+        costs, selectivities, rows, name=f"hard-n{size}-seed{seed}"
     )
 
 

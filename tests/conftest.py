@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core import CommunicationCostMatrix, OrderingProblem, PrecedenceGraph, Service
-from repro.workloads import credit_card_screening, federated_document_pipeline
+from repro.workloads import credit_card_screening, federated_document_pipeline, hard_problem
 
 
 @pytest.fixture
@@ -123,21 +123,7 @@ def make_random_problem():
     return random_problem
 
 
-def pruning_resistant_problem(size: int, seed: int = 0) -> OrderingProblem:
-    """Near-unit selectivities keep exact searches from closing subtrees early."""
-    rng = random.Random(seed)
-    return OrderingProblem.from_parameters(
-        [rng.uniform(1.0, 1.3) for _ in range(size)],
-        [rng.uniform(0.9, 1.0) for _ in range(size)],
-        [
-            [0.0 if i == j else rng.uniform(0.5, 4.0) for j in range(size)]
-            for i in range(size)
-        ],
-        name=f"resistant-n{size}",
-    )
-
-
 @pytest.fixture
 def make_resistant_problem():
-    """Factory fixture around :func:`pruning_resistant_problem`."""
-    return pruning_resistant_problem
+    """Factory fixture around :func:`repro.workloads.hard_problem`."""
+    return hard_problem

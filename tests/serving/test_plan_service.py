@@ -47,9 +47,9 @@ class TestSubmit:
         exact = optimize(four_service_problem, algorithm="branch_and_bound")
         assert response.cost == pytest.approx(exact.cost)
 
-    def test_submit_batch_preserves_order(self, service):
+    def test_repeated_submits_hit_the_cache(self, service):
         problems = [random_problem(4, seed) for seed in range(3)]
-        responses = service.submit_batch(problems + problems)
+        responses = [service.submit(problem) for problem in problems + problems]
         assert len(responses) == 6
         assert [r.cache_hit for r in responses] == [False, False, False, True, True, True]
         for problem, response in zip(problems, responses[3:]):

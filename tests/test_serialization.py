@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
-from repro.core import branch_and_bound
+from repro.core import OrderingProblem, PrecedenceGraph, Service, branch_and_bound
+from repro.core.cost_model import CommunicationCostMatrix
 from repro.exceptions import InvalidProblemError
 from repro.serialization import (
     PROBLEM_FORMAT,
     load_problem,
     plan_to_dict,
     problem_from_dict,
+    problem_from_wire,
     problem_to_dict,
+    problem_to_wire,
     result_to_dict,
     save_problem,
 )
+from repro.serving import fingerprint_problem
 from repro.workloads import credit_card_screening, federated_document_pipeline
 
 
@@ -110,3 +115,74 @@ class TestPlanAndResultSerialization:
         encoded = json.dumps(document)
         assert "branch_and_bound" in encoded
         assert document["plan"]["cost"] == pytest.approx(result.cost)
+
+
+class TestProblemWire:
+    def test_roundtrip_is_lossless(self, make_random_problem):
+        problem = make_random_problem(7, 11, selectivity_range=(0.2, 1.6))
+        decoded = problem_from_wire(problem_to_wire(problem))
+        assert decoded.size == problem.size
+        assert decoded.costs == problem.costs
+        assert decoded.selectivities == problem.selectivities
+        assert decoded.name == problem.name
+        for i in range(problem.size):
+            assert decoded.service(i).name == problem.service(i).name
+            for j in range(problem.size):
+                assert decoded.transfer_cost(i, j) == problem.transfer_cost(i, j)
+
+    def test_roundtrip_preserves_precedence_and_sink(self):
+        precedence = PrecedenceGraph(4)
+        precedence.add(0, 2)
+        precedence.add(3, 1)
+        problem = OrderingProblem.from_parameters(
+            costs=[1.0, 2.0, 3.0, 0.5],
+            selectivities=[0.8, 0.6, 0.9, 0.4],
+            transfer=CommunicationCostMatrix.uniform(4, 1.0),
+            precedence=precedence,
+            sink_transfer=[0.1, 0.2, 0.0, 0.4],
+            name="constrained",
+        )
+        decoded = problem_from_wire(problem_to_wire(problem))
+        assert decoded.sink_transfer == problem.sink_transfer
+        assert decoded.precedence is not None
+        assert sorted(decoded.precedence.edges()) == sorted(problem.precedence.edges())
+        # A plan violating the decoded constraints must still be rejected.
+        with pytest.raises(Exception):
+            decoded.validate_plan((2, 0, 1, 3))
+
+    def test_roundtrip_preserves_hosts_and_threads(self):
+        services = [
+            Service(name="a", cost=1.0, selectivity=0.5, host="h1", threads=2),
+            Service(name="b", cost=2.0, selectivity=0.8, host=None, threads=1),
+        ]
+        problem = OrderingProblem(services, CommunicationCostMatrix.uniform(2, 1.0))
+        decoded = problem_from_wire(problem_to_wire(problem))
+        assert decoded.service(0).host == "h1"
+        assert decoded.service(0).threads == 2
+        assert decoded.service(1).host is None
+
+    def test_costs_agree_bit_for_bit(self, make_random_problem):
+        problem = make_random_problem(6, 3)
+        decoded = problem_from_wire(problem_to_wire(problem))
+        order = tuple(range(6))
+        assert decoded.cost(order) == problem.cost(order)
+        assert (
+            fingerprint_problem(decoded).digest == fingerprint_problem(problem).digest
+        )
+
+    def test_payload_is_hashable_and_compact(self, make_random_problem):
+        problem = make_random_problem(8, 5)
+        payload = problem_to_wire(problem)
+        assert hash(payload) == hash(problem_to_wire(problem))
+        # The whole point of the codec: shipping the payload must be cheaper
+        # than deep-pickling the object graph (which drags Service objects,
+        # the matrix wrapper and any cached evaluation kernel along).
+        problem.evaluator()
+        assert len(pickle.dumps(payload)) < len(pickle.dumps(problem))
+
+    def test_version_guard(self, make_random_problem):
+        payload = problem_to_wire(make_random_problem(3, 0))
+        with pytest.raises(InvalidProblemError):
+            problem_from_wire((99,) + payload[1:])
+        with pytest.raises(InvalidProblemError):
+            problem_from_wire("not-a-payload")

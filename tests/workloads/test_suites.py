@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import optimize
 from repro.workloads import (
     default_spec,
+    hard_problem,
     heterogeneity_suite,
     scaling_suite,
     selectivity_suite,
@@ -22,6 +24,22 @@ class TestDefaultSpec:
 
         problem = generate_problem(spec, seed=0)
         assert problem.all_selective
+
+
+class TestHardProblem:
+    def test_instances_of_the_committed_benchmarks_do_not_move(self):
+        """``BENCH_optimizers.json`` records these optima for hard-n9/n12-seed0."""
+        assert optimize(hard_problem(9), "exhaustive").cost == 2.578990481520902
+        problem = hard_problem(12)
+        assert problem.name == "hard-n12-seed0"
+        assert optimize(problem, "branch_and_bound").cost == 2.0971452042804364
+
+    def test_near_unit_selectivities_and_seeded_draws(self):
+        problem = hard_problem(6, seed=4)
+        assert all(0.9 <= s <= 1.0 for s in problem.selectivities)
+        assert all(1.0 <= c <= 1.3 for c in problem.costs)
+        assert problem.transfer.row(0) == hard_problem(6, seed=4).transfer.row(0)
+        assert problem.costs != hard_problem(6, seed=5).costs
 
 
 class TestScalingSuite:
