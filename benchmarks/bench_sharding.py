@@ -166,10 +166,10 @@ def run_throughput(quick: bool) -> tuple[dict, ShardRouter]:
 def run_rebalance(router: ShardRouter) -> dict:
     """Add one shard to the *warm* router; measure how many cached keys move."""
     shards_before = len(router.shard_ids)
-    # The union, deduplicated: with a shared store every shard reports the
-    # same directory, and a key's placement is what the rebalance measures.
+    # Every cached key lives on the one shard that owns it; its placement is
+    # what the rebalance measures.
     cached_keys = sorted(
-        {key for shard_keys in router.cache_keys().values() for key in shard_keys}
+        key for shard_keys in router.cache_keys().values() for key in shard_keys
     )
     before = {key: router.shard_for(key) for key in cached_keys}
     newcomer = router.add_shard()

@@ -167,12 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(forkserver/spawn avoid forking from a threaded service)",
     )
     serve_cmd.add_argument(
-        "--share-cache-dir",
-        default=None,
-        help="directory of a file-backed plan store shared by every shard "
-        "(warm plans survive rebalances); default: per-shard in-process store",
-    )
-    serve_cmd.add_argument(
         "--observability",
         action="store_true",
         help="enable request tracing, the span store and the slow-request "
@@ -387,7 +381,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         cache_ttl=args.ttl if args.ttl > 0 else None,
         mp_context=args.mp_context,
-        cache_store_dir=args.share_cache_dir,
         observability=args.observability,
         slow_request_seconds=args.slow_threshold,
         kernel=args.kernel,
@@ -405,7 +398,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 shards=args.shards,
                 backend=args.shard_backend,
                 service_config=config,
-                shared_cache_dir=args.share_cache_dir,
             )
         )
         topology = f"{args.shards} {args.shard_backend} shards"

@@ -48,7 +48,6 @@ from repro.core.vector import (
     default_kernel,
     evaluation_kernel,
     numpy_available,
-    prepare_kernel,
     resolve_kernel,
     set_default_kernel,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "numpy_available",
     "optimize",
     "prefix_products",
-    "prepare_kernel",
     "problem_from_distance_matrix",
     "random_plan",
     "resolve_kernel",

@@ -77,7 +77,6 @@ __all__ = [
     "default_kernel",
     "set_default_kernel",
     "resolve_kernel",
-    "prepare_kernel",
 ]
 
 KERNELS = ("auto", "scalar", "vector")
@@ -211,22 +210,6 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
     if size is not None and (size < AUTO_MIN_SIZE or size > MAX_VECTOR_SIZE):
         return "scalar"
     return "vector" if _import_numpy() is not None else "scalar"
-
-
-def prepare_kernel(problem: "OrderingProblem") -> str:
-    """Warm the kernel a problem will be scored with; returns its name.
-
-    Builds the problem's (cached) scalar evaluator, plus its shared read-only
-    numpy arrays when the resolved kernel is ``vector`` — so a long-lived
-    holder of the problem (a portfolio about to race several members over one
-    instance) pays the array extraction once, and every optimizer run on the
-    instance starts from it.
-    """
-    evaluator = problem.evaluator()
-    kernel = resolve_kernel(size=problem.size)
-    if kernel == "vector":
-        _shared_arrays(evaluator)
-    return kernel
 
 
 def evaluation_kernel(

@@ -6,10 +6,8 @@ becomes a long-running service here:
 * :mod:`repro.serving.fingerprint` — canonical, permutation-invariant hashing
   of :class:`~repro.core.problem.OrderingProblem` instances,
 * :mod:`repro.serving.cache` — thread-safe LRU + TTL plan cache with
-  stale-while-revalidate and drift-based refresh,
-* :mod:`repro.serving.store` — the pluggable storage backends behind the
-  cache (:class:`LocalStore` in-proc, :class:`SharedStore` file-backed and
-  shareable across shard processes),
+  stale-while-revalidate and drift-based refresh; its entries live in one
+  in-process map under one lock,
 * :mod:`repro.serving.portfolio` — deadline-budgeted races over the algorithm
   registry (greedy anytime seed, refined by beam search / branch-and-bound)
   that end at the first proof of optimality or the deadline,
@@ -57,7 +55,6 @@ from repro.serving.portfolio import (
     run_portfolio,
 )
 from repro.serving.service import PlanResponse, PlanService, PlanServiceConfig
-from repro.serving.store import CacheStore, LocalStore, SharedStore
 
 __all__ = [
     "DEFAULT_PORTFOLIO",
@@ -67,10 +64,8 @@ __all__ = [
     "AsyncServerHandle",
     "CacheLookup",
     "CacheStats",
-    "CacheStore",
     "CachedPlan",
     "LatencySummary",
-    "LocalStore",
     "PlanCache",
     "PlanResponse",
     "PlanService",
@@ -80,7 +75,6 @@ __all__ = [
     "PortfolioResult",
     "ProblemFingerprint",
     "ServingMetrics",
-    "SharedStore",
     "SingleFlight",
     "dispatch_request",
     "fingerprint_problem",

@@ -14,8 +14,9 @@ One event loop serves every route of :mod:`repro.serving.http`:
   request on a future the shard multiplexer resolves — no handler thread
   exists anywhere on the request path;
 * **overload** is the backend's admission control: a request beyond its
-  bound is refused at once with HTTP 503 (``GET /healthz`` never touches the
-  backend, so liveness probing survives saturation);
+  bound is refused at once with HTTP 503 (``GET /healthz`` never waits on
+  the backend — it only checks which shard processes are alive — so
+  liveness probing survives saturation);
 * **shutdown** is graceful: stop accepting, drain requests in flight against
   a deadline, cancel idle/straggling connections, then (optionally) close
   the backend.

@@ -22,18 +22,18 @@ key, so :meth:`PlanCache.needs_revalidation` measures how far the requesting
 problem's parameters have drifted from the ones the cached plan was optimized
 for and reports when they moved beyond the configured threshold.
 
-Storage is pluggable (:mod:`repro.serving.store`): the cache owns the policy
-above, while the recency-ordered entry map with LRU eviction lives behind the
-:class:`~repro.serving.store.CacheStore` protocol — the in-process
-:class:`~repro.serving.store.LocalStore` by default, or a
-:class:`~repro.serving.store.SharedStore` that several shard processes point
-at one directory so they share warm plans.
+Entries live in one recency-ordered ``OrderedDict`` under one lock, which
+also guards the counters: a lookup's read, expiry decision, drop-or-promote
+and counting are one critical section.  The consistent-hash ring of the
+sharding tier sends each fingerprint to exactly one shard, so each shard's
+cache is the only store its keys ever need.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,7 +43,6 @@ from repro.estimation.adaptive import compute_drift
 from repro.exceptions import EstimationError, ServingError
 from repro.obs.trace import trace_span
 from repro.serving.fingerprint import ProblemFingerprint
-from repro.serving.store import CacheStore, LocalStore
 
 __all__ = ["CacheStats", "CachedPlan", "CacheLookup", "PlanCache", "SingleFlight"]
 
@@ -218,9 +217,7 @@ class PlanCache:
     Parameters
     ----------
     capacity:
-        Maximum number of entries held (LRU beyond that).  Only used to size
-        the default :class:`~repro.serving.store.LocalStore`; an injected
-        ``store`` brings its own capacity.
+        Maximum number of entries held (LRU beyond that).
     ttl:
         Entry lifetime in seconds; ``None`` disables expiry.
     stale_while_revalidate:
@@ -228,17 +225,16 @@ class PlanCache:
         counted in :attr:`CacheStats.revalidations`, instead of being dropped.
     clock:
         Injectable monotonic time source (tests freeze it).
-    store:
-        Storage backend (:class:`~repro.serving.store.CacheStore`); ``None``
-        builds a :class:`~repro.serving.store.LocalStore` of ``capacity``.
     """
 
     capacity: int = 1024
     ttl: float | None = None
     stale_while_revalidate: bool = False
     clock: Callable[[], float] = time.monotonic
-    store: CacheStore | None = None
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _entries: "OrderedDict[str, CachedPlan]" = field(
+        default_factory=OrderedDict, repr=False
+    )  # guarded-by: _lock
     _stats: CacheStats = field(default_factory=CacheStats, repr=False)  # guarded-by: _lock
 
     def __post_init__(self) -> None:
@@ -246,8 +242,6 @@ class PlanCache:
             raise ServingError(f"cache capacity must be at least 1, got {self.capacity!r}")
         if self.ttl is not None and self.ttl <= 0:
             raise ServingError(f"cache ttl must be positive or None, got {self.ttl!r}")
-        if self.store is None:
-            self.store = LocalStore(self.capacity)
 
     # -- core operations ---------------------------------------------------
 
@@ -267,24 +261,19 @@ class PlanCache:
         return lookup
 
     def _lookup(self, fingerprint: ProblemFingerprint) -> CacheLookup:
-        assert self.store is not None
-        entry = self.store.get(fingerprint.key)
-        if entry is None:
-            with self._lock:
-                self._stats.misses += 1
-            return CacheLookup(entry=None)
-        expired = self._is_expired(entry)
-        if expired and not self.stale_while_revalidate:
-            # Compare-and-delete: only this (expired) entry may be dropped,
-            # never a fresh one a concurrent put raced in under the same key.
-            dropped = self.store.invalidate(fingerprint.key, expected=entry)
-            with self._lock:
-                if dropped:
-                    self._stats.expirations += 1
-                self._stats.misses += 1
-            return CacheLookup(entry=None)
-        self.store.touch(fingerprint.key)
+        key = fingerprint.key
         with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._stats.misses += 1
+                return CacheLookup(entry=None)
+            expired = self._is_expired(entry)
+            if expired and not self.stale_while_revalidate:
+                del self._entries[key]
+                self._stats.expirations += 1
+                self._stats.misses += 1
+                return CacheLookup(entry=None)
+            self._entries.move_to_end(key)
             if expired:
                 self._stats.stale_hits += 1
                 self._stats.revalidations += 1
@@ -316,27 +305,30 @@ class PlanCache:
             problem=problem,
             created_at=self.clock(),
         )
-        assert self.store is not None
-        evicted = self.store.put(fingerprint.key, entry)
+        key = fingerprint.key
         with self._lock:
+            self._entries.pop(key, None)
+            self._entries[key] = entry
             self._stats.insertions += 1
-            self._stats.evictions += evicted
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._stats.evictions += 1
         return entry
 
     def invalidate(self, fingerprint: ProblemFingerprint) -> bool:
         """Drop the entry for ``fingerprint``; returns whether one existed."""
-        assert self.store is not None
-        return self.store.invalidate(fingerprint.key)
+        with self._lock:
+            return self._entries.pop(fingerprint.key, None) is not None
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        assert self.store is not None
-        self.store.clear()
+        with self._lock:
+            self._entries.clear()
 
     def keys(self) -> list[str]:
         """Every cached key (what the sharding tier's rebalance measures scan)."""
-        assert self.store is not None
-        return self.store.scan()
+        with self._lock:
+            return list(self._entries)
 
     # -- revalidation ------------------------------------------------------
 
@@ -366,8 +358,8 @@ class PlanCache:
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        assert self.store is not None
-        return len(self.store)
+        with self._lock:
+            return len(self._entries)
 
     def stats(self) -> CacheStats:
         """A snapshot copy of the cache counters."""

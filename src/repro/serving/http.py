@@ -13,7 +13,8 @@ wire; this module decides what they mean.  The routes:
   directly, misses deduplicated by fingerprint — and the reply is
   ``{"responses": [...]}`` in request order.
 * ``GET /stats`` — the backend's ``stats()`` snapshot.
-* ``GET /healthz`` — liveness probe.
+* ``GET /healthz`` — liveness probe: 200 ``ok``, or 503 ``degraded`` naming
+  the shards whose process died.
 * ``GET /metrics``, ``GET /trace/<id>``, ``GET /slowlog`` — the backend's
   observability bundle (:mod:`repro.obs`).
 
@@ -232,6 +233,10 @@ async def _dispatch_get(
     path: str,
 ) -> tuple[int, Union[dict[str, Any], str]]:
     if path == "/healthz":
+        down_shards = getattr(plan_service, "down_shards", None)
+        down = down_shards() if down_shards is not None else []
+        if down:
+            return 503, {"status": "degraded", "down": down}
         return 200, {"status": "ok"}
     if path == "/stats":
         try:

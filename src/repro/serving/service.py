@@ -64,7 +64,6 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.serving.cache import CacheLookup, PlanCache, SingleFlight
-from repro.serving.store import CacheStore, SharedStore
 from repro.serving.fingerprint import (
     DEFAULT_PRECISION,
     ProblemFingerprint,
@@ -127,15 +126,6 @@ class PlanServiceConfig:
     default (``fork`` where available); pick ``forkserver`` or ``spawn`` to
     avoid forking from a threaded parent (the classic fork-with-threads
     caveat)."""
-
-    cache_store_dir: str | None = None
-    """Directory of a file-backed :class:`~repro.serving.store.SharedStore`
-    to keep cached plans in (``None`` keeps the in-process
-    :class:`~repro.serving.store.LocalStore`).  Several shard processes
-    pointing at one directory share warm plans.  A cache hit reads and
-    touches the entry's file on the caller's thread, which for
-    :meth:`PlanService.submit_async` is the event loop: keep the directory
-    on a local disk."""
 
     max_in_flight: int = 8
     """Size of the optimizer pool that runs cold optimizations for both
@@ -222,30 +212,14 @@ class PlanResponse:
 
 
 class PlanService:
-    """A long-running, cache-accelerated, admission-controlled plan server.
+    """A long-running, cache-accelerated, admission-controlled plan server."""
 
-    ``cache_store`` injects a storage backend for the plan cache (e.g. a
-    :class:`~repro.serving.store.SharedStore` shared with sibling shards);
-    when omitted, :attr:`PlanServiceConfig.cache_store_dir` may name a shared
-    directory, and the default is the in-process store.
-    """
-
-    def __init__(
-        self,
-        config: PlanServiceConfig | None = None,
-        *,
-        cache_store: "CacheStore | None" = None,
-    ) -> None:
+    def __init__(self, config: PlanServiceConfig | None = None) -> None:
         self.config = config if config is not None else PlanServiceConfig()
-        if cache_store is None and self.config.cache_store_dir is not None:
-            cache_store = SharedStore(
-                self.config.cache_store_dir, capacity=self.config.cache_capacity
-            )
         self.cache = PlanCache(
             capacity=self.config.cache_capacity,
             ttl=self.config.cache_ttl,
             stale_while_revalidate=self.config.stale_while_revalidate,
-            store=cache_store,
         )
         self.obs = Observability(
             ObservabilityConfig(
@@ -413,7 +387,6 @@ class PlanService:
         """A JSON-ready snapshot of cache, request and admission statistics."""
         with self._pending_lock:
             pending = self._pending
-        assert self.cache.store is not None
         profile = kernel_profile()
         kernel = {
             "profiling": profile is not None,
@@ -427,8 +400,8 @@ class PlanService:
             "kernel": kernel,
             "cache": {
                 "size": len(self.cache),
+                "capacity": self.cache.capacity,
                 **self.cache.stats().as_dict(),
-                "store": self.cache.store.stats(),
             },
             "requests": self.metrics.snapshot(),
             "admission": {

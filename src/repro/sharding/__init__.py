@@ -17,9 +17,8 @@ serving stack horizontally:
   selector loop correlating every process shard's answers (N shards cost one
   thread, not N reader threads),
 
-with warm plans optionally shared between shards through a
-:class:`~repro.serving.store.SharedStore` (``shared_cache_dir``), so a key
-rebalanced to another shard stays a cache hit.
+with each shard keeping its own in-process plan cache: the ring gives every
+fingerprint exactly one owning shard, so no cache tier is shared.
 """
 
 from repro.sharding.multiplexer import ResponseMultiplexer, default_multiplexer

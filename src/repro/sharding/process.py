@@ -254,6 +254,10 @@ class ProcessShard:
     def cache_keys(self) -> list[str]:
         return self._call(("keys",))
 
+    def alive(self) -> bool:
+        """Whether the shard's child process is still running."""
+        return self._process.is_alive()
+
     def close(self, timeout: float = 5.0) -> None:
         """Stop the shard process (idempotent); stragglers are terminated."""
         if self._closed.is_set():

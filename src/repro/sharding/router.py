@@ -19,16 +19,16 @@ front end and the CLI bind to either interchangeably, while behind it
   (`backend="processes"`: each shard is its own OS process behind the wire
   codec, so cold optimization scales across cores);
 * :meth:`ShardRouter.add_shard` / :meth:`ShardRouter.remove_shard` resize the
-  tier live; consistent hashing keeps movement to ~1/N of the key space, and
-  a :class:`~repro.serving.store.SharedStore` (``shared_cache_dir``) makes
-  even the moved keys warm on their new shard.
+  tier; consistent hashing keeps movement to ~1/N of the key space, and every
+  shard keeps its own in-process cache, since each key has exactly one owner;
+* a process shard whose child died is reported by
+  :meth:`ShardRouter.down_shards` (``GET /healthz`` answers 503 naming it),
+  and :meth:`ShardRouter.stats` lists it under ``down`` instead of failing.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,7 +38,6 @@ from repro.exceptions import ShardingError
 from repro.obs import Observability, ObservabilityConfig, trace_span
 from repro.serving.fingerprint import fingerprint_problem
 from repro.serving.service import PlanResponse, PlanService, PlanServiceConfig
-from repro.serving.store import SharedStore
 from repro.sharding.process import ProcessShard
 from repro.sharding.ring import DEFAULT_VIRTUAL_NODES, HashRing
 
@@ -67,13 +66,6 @@ class ShardRouterConfig:
     """Configuration every shard's :class:`PlanService` is built from (its
     ``mp_context`` also picks the start method of process shards)."""
 
-    shared_cache_dir: str | None = None
-    """Directory of a :class:`~repro.serving.store.SharedStore` all shards
-    point at, so warm plans survive rebalances and are shared across shards;
-    ``None`` gives each shard its own in-process store.  The directory is
-    one cache — its capacity bounds the *tier's* entries, and every shard's
-    ``cache`` size/keys report the shared directory."""
-
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ShardingError(f"a router needs at least 1 shard, got {self.shards!r}")
@@ -90,6 +82,15 @@ class _InProcShard(PlanService):
 
     def cache_keys(self) -> list[str]:
         return self.cache.keys()
+
+
+def _down_ids(shards: dict[str, object]) -> list[str]:
+    """The ids among ``shards`` of process shards whose child has died."""
+    return sorted(
+        shard_id
+        for shard_id, shard in shards.items()
+        if isinstance(shard, ProcessShard) and not shard.alive()
+    )
 
 
 class ShardRouter:
@@ -194,13 +195,8 @@ class ShardRouter:
         shard.close()
 
     def _build_shard(self, shard_id: str):
+        service_config = self.config.service_config
         if self.config.backend == "processes":
-            service_config = self.config.service_config
-            if self.config.shared_cache_dir is not None:
-                # The child builds its own SharedStore over the same directory.
-                service_config = dataclasses.replace(
-                    service_config, cache_store_dir=self.config.shared_cache_dir
-                )
             if self._multiplexer is None:
                 from repro.sharding.multiplexer import default_multiplexer
 
@@ -211,15 +207,7 @@ class ShardRouter:
                 mp_context=service_config.mp_context,
                 multiplexer=self._multiplexer,
             )
-        store = (
-            SharedStore(
-                self.config.shared_cache_dir,
-                capacity=self.config.service_config.cache_capacity,
-            )
-            if self.config.shared_cache_dir is not None
-            else None
-        )
-        return _InProcShard(self.config.service_config, cache_store=store)
+        return _InProcShard(service_config)
 
     # -- serving surface (duck-typed like PlanService) ---------------------
 
@@ -365,30 +353,30 @@ class ShardRouter:
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> dict[str, object]:
-        """Aggregated counters across shards, plus the per-shard breakdown."""
+    def down_shards(self) -> list[str]:
+        """Ids of the process shards whose child process is no longer alive."""
         with self._lock:
             shards = dict(self._shards)
-        per_shard = {shard_id: shard.stats() for shard_id, shard in sorted(shards.items())}
-        # With a shared store every shard reports the same directory, so its
-        # size must be counted once, not once per shard.
-        store_views = {
-            json.dumps(stats["cache"].get("store", {}), sort_keys=True)
-            for stats in per_shard.values()
+        return _down_ids(shards)
+
+    def stats(self) -> dict[str, object]:
+        """Aggregated counters across the live shards, plus the per-shard
+        breakdown; dead process shards are named under ``down``."""
+        with self._lock:
+            shards = dict(self._shards)
+        down = _down_ids(shards)
+        per_shard = {
+            shard_id: shard.stats()
+            for shard_id, shard in sorted(shards.items())
+            if shard_id not in down
         }
-        shared_single_store = len(per_shard) > 1 and len(store_views) == 1 and (
-            next(iter(per_shard.values()))["cache"].get("store", {}).get("backend")
-            == "shared"
-        )
         cache_totals: dict[str, float] = {}
         request_totals = {"answered": 0, "rejected": 0, "failed": 0, "coalesced": 0}
         by_source: dict[str, int] = {}
-        for shard_index, stats in enumerate(per_shard.values()):
+        for stats in per_shard.values():
             for counter, value in stats["cache"].items():
                 if not isinstance(value, (int, float)) or counter == "hit_rate":
                     continue
-                if counter == "size" and shared_single_store and shard_index > 0:
-                    continue  # every shard reports the same shared directory
                 cache_totals[counter] = cache_totals.get(counter, 0) + value
             requests = stats["requests"]
             for counter in request_totals:
@@ -409,7 +397,8 @@ class ShardRouter:
             key[0]: int(value) for key, value in sorted(self._routed.values().items())
         }
         return {
-            "shards": len(per_shard),
+            "shards": len(shards),
+            "down": down,
             "backend": self.config.backend,
             "cache": cache_totals,
             "requests": {**request_totals, "by_source": by_source},

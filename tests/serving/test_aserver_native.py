@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -275,7 +277,7 @@ class TestShardDeathOnAsyncPath:
             shard.close()
             mux.close()
 
-    def test_survivors_answer_and_healthz_stays_up(self, make_random_problem):
+    def test_survivors_answer_and_healthz_names_the_dead_shard(self, make_random_problem):
         with process_router() as router:
             with serve_async(router, host="127.0.0.1", port=0) as handle:
                 host, port = handle.address
@@ -304,4 +306,27 @@ class TestShardDeathOnAsyncPath:
                 assert status == 200
                 assert sorted(payload["order"]) == list(range(5))
                 status, payload = get_json(f"{url}/healthz")
-                assert status == 200 and payload["status"] == "ok"
+                assert status == 503
+                assert payload == {"status": "degraded", "down": [victim_id]}
+
+    def test_healthz_and_stats_name_a_sigkilled_shard(self):
+        with process_router() as router:
+            with serve_async(router, host="127.0.0.1", port=0) as handle:
+                host, port = handle.address
+                url = f"http://{host}:{port}"
+                status, payload = get_json(f"{url}/healthz")
+                assert status == 200 and payload == {"status": "ok"}
+                assert router.down_shards() == []
+                victim_id, survivor_id = router.shard_ids
+                victim = router._shards[victim_id]._process
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+                status, payload = get_json(f"{url}/healthz")
+                assert status == 503
+                assert payload == {"status": "degraded", "down": [victim_id]}
+                # /stats still answers: the dead shard is named, not called.
+                status, payload = get_json(f"{url}/stats")
+                assert status == 200
+                assert payload["down"] == [victim_id]
+                assert payload["shards"] == 2
+                assert list(payload["per_shard"]) == [survivor_id]

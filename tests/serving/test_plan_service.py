@@ -98,6 +98,18 @@ class TestSubmit:
             # The request still gets the seed's plan.
             assert answer.result(timeout=5.0).algorithm == "greedy_min_term"
 
+    def test_a_full_cache_forgets_the_least_recently_used_plan(self):
+        problems = [random_problem(4, seed) for seed in range(3)]
+        config = PlanServiceConfig(budget_seconds=None, cache_capacity=2)
+        with PlanService(config) as plan_service:
+            for problem in problems:
+                assert not plan_service.submit(problem).cache_hit
+            assert plan_service.submit(problems[2]).cache_hit
+            assert not plan_service.submit(problems[0]).cache_hit  # evicted
+            cache = plan_service.stats()["cache"]
+            assert cache["size"] == 2 and cache["capacity"] == 2
+            assert cache["evictions"] == 2
+
     def test_closed_service_rejects_submissions(self, four_service_problem):
         plan_service = PlanService(PlanServiceConfig(budget_seconds=None))
         plan_service.close()
@@ -108,6 +120,7 @@ class TestSubmit:
         service.submit(four_service_problem)
         stats = service.stats()
         assert stats["cache"]["size"] == 1
+        assert stats["cache"]["capacity"] == 1024
         assert stats["requests"]["answered"] == 1
         assert stats["admission"]["pending"] == 0
         assert stats["portfolio"]["algorithms"][0] == "greedy_min_term"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.exceptions import ShardingError
@@ -88,6 +91,8 @@ class TestStats:
             router.submit(problem)
         stats = router.stats()
         assert stats["shards"] == 3
+        assert stats["down"] == [] and router.down_shards() == []
+        assert stats["cache"]["capacity"] == 3 * 1024
         assert stats["requests"]["answered"] == 12
         assert stats["cache"]["hits"] == 6
         assert stats["cache"]["misses"] == 6
@@ -134,31 +139,20 @@ class TestResize:
         assert victim not in router.shard_ids
         assert len(router.shard_ids) == 2
 
+    def test_capacity_total_follows_resizes(self, router):
+        assert router.stats()["cache"]["capacity"] == 3 * 1024
+        added = router.add_shard()
+        assert router.stats()["cache"]["capacity"] == 4 * 1024
+        router.remove_shard(added)
+        router.remove_shard(router.shard_ids[0])
+        assert router.stats()["cache"]["capacity"] == 2 * 1024
+
     def test_last_shard_cannot_be_removed(self, make_random_problem):
         config = ShardRouterConfig(shards=1, service_config=fast_config())
         with ShardRouter(config) as router:
             with pytest.raises(ShardingError):
                 router.remove_shard(router.shard_ids[0])
             assert router.submit(make_random_problem(4, 0)).cost > 0
-
-
-class TestSharedCache:
-    def test_shards_share_warm_plans_through_a_shared_store(
-        self, tmp_path, make_random_problem
-    ):
-        problem = make_random_problem(5, 7)
-        config = ShardRouterConfig(
-            shards=2,
-            service_config=fast_config(),
-            shared_cache_dir=str(tmp_path / "plans"),
-        )
-        with ShardRouter(config) as router:
-            assert not router.submit(problem).cache_hit
-            owner = router.shard_for(fingerprint_problem(problem).key)
-            # Every *other* shard sees the entry through the shared directory.
-            for shard_id, shard in router._shards.items():
-                if shard_id != owner:
-                    assert fingerprint_problem(problem).key in shard.cache_keys()
 
 
 class TestLifecycle:
@@ -215,3 +209,47 @@ class TestProcessBackend:
         with ShardRouter(config) as router:
             with pytest.raises(OptimizationError):
                 router.submit(make_random_problem(5, 0))
+
+
+def kill_shard(router: ShardRouter, shard_id: str) -> None:
+    """SIGKILL one process shard's child and wait until it is gone."""
+    process = router._shards[shard_id]._process
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(timeout=5.0)
+    assert not process.is_alive()
+
+
+class TestDeadShards:
+    def process_router(self) -> ShardRouter:
+        return ShardRouter(
+            ShardRouterConfig(shards=2, backend="processes", service_config=fast_config())
+        )
+
+    def test_a_killed_shard_is_down_until_removed(self, make_random_problem):
+        with self.process_router() as router:
+            victim, survivor = router.shard_ids
+            assert router._shards[victim].alive()
+            kill_shard(router, victim)
+            assert not router._shards[victim].alive()
+            assert router.down_shards() == [victim]
+            stats = router.stats()
+            assert stats["down"] == [victim]
+            assert stats["cache"]["capacity"] == 1024  # the survivor's alone
+            # Taking the dead shard off the ring restores a healthy tier.
+            router.remove_shard(victim)
+            assert router.down_shards() == []
+            assert router.shard_ids == (survivor,)
+            assert router.submit(make_random_problem(5, 0)).cost > 0
+            assert router.stats()["down"] == []
+
+    def test_stats_answer_when_every_shard_is_down(self):
+        with self.process_router() as router:
+            for shard_id in router.shard_ids:
+                kill_shard(router, shard_id)
+            assert router.down_shards() == sorted(router.shard_ids)
+            stats = router.stats()
+            assert stats["shards"] == 2
+            assert stats["down"] == sorted(router.shard_ids)
+            assert stats["per_shard"] == {}
+            assert stats["cache"] == {"hit_rate": 0.0}
+            assert stats["requests"]["answered"] == 0
