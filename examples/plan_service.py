@@ -6,7 +6,8 @@ again.  This example walks through the serving subsystem that fixes that:
 
 1. a :class:`~repro.serving.service.PlanService` answers a mixed stream of
    requests, optimizing cold misses with a deadline-budgeted portfolio
-   (greedy anytime seed, refined by beam search and branch-and-bound) and
+   (greedy anytime seed, then branch-and-bound's proof, with beam search
+   only when the proof does not finish in time) and
    answering repeats from the fingerprint cache,
 2. the fingerprint is permutation-invariant, so the *same* problem with its
    services listed in a different order still hits the cache — the cached

@@ -4,9 +4,8 @@
 re-parents the ambient activation; calling it without ``with`` opens a span
 that never closes and corrupts the parent chain for everything after it.
 And because the activation rides a ``contextvar``, it does *not* follow work
-onto pool threads — the repo's convention (see the shard router and the
-portfolio racer) is ``context = capture()`` in the submitting scope, passed
-into the closure's ``trace_span(..., context=context)``.
+onto pool threads — the repo's convention is ``context = capture()`` in the
+submitting scope, passed into the closure's ``trace_span(..., context=context)``.
 
 Three findings:
 

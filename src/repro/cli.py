@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import threading
 from typing import Sequence
@@ -367,8 +368,17 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _wait_forever() -> None:  # pragma: no cover - interrupted, or patched in tests
-    """Park the main thread behind a background server until Ctrl-C."""
+    """Park the main thread behind a background server until Ctrl-C or SIGTERM."""
     threading.Event().wait()
+
+
+def _interrupt_on_sigterm():
+    """Make SIGTERM raise :class:`KeyboardInterrupt`, as Ctrl-C does, so a
+    terminated server drains and closes its shards; returns the replaced
+    handler (``None`` off the main thread, where handlers cannot be set)."""
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    return signal.signal(signal.SIGTERM, signal.default_int_handler)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -417,11 +427,14 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"http://{host}:{port} "
             f"(async front end; POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
         )
+        previous = _interrupt_on_sigterm()
         try:
             _wait_forever()  # the event loop serves on its own thread
         except KeyboardInterrupt:
             print("shutting down")
         finally:
+            if previous is not None:
+                signal.signal(signal.SIGTERM, previous)
             front_end.close(timeout=args.graceful_timeout)
     return 0
 

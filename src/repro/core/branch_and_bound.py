@@ -131,7 +131,9 @@ class BranchAndBoundOptimizer:
         """Return an optimal plan for ``problem`` together with search statistics.
 
         ``stop`` is checked once per expanded prefix; once it is set the
-        search raises :class:`SearchLimitExceededError`.
+        search raises :class:`SearchLimitExceededError`, as it does past
+        ``node_limit``.  The error carries the best plan found so far (the
+        greedy seed at least) as its ``incumbent``, with ``optimal=False``.
         """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
@@ -149,6 +151,10 @@ class BranchAndBoundOptimizer:
 
         try:
             self._explore(self._evaluator.root())
+        except SearchLimitExceededError as error:
+            if self._best_order is not None:
+                error.incumbent = self._result(optimal=False)
+            raise
         finally:
             stats.elapsed_seconds = stopwatch.stop()
 
@@ -157,13 +163,16 @@ class BranchAndBoundOptimizer:
                 "branch-and-bound finished without finding any feasible plan "
                 "(this indicates inconsistent precedence constraints)"
             )
-        plan = problem.plan(self._best_order)
+        return self._result(optimal=True)
+
+    def _result(self, optimal: bool) -> OptimizationResult:
+        plan = self._problem.plan(self._best_order)
         return OptimizationResult(
             plan=plan,
             cost=plan.cost,
             algorithm=self.name,
-            optimal=True,
-            statistics=stats,
+            optimal=optimal,
+            statistics=self._stats,
         )
 
     # -- incumbent seeding ----------------------------------------------------

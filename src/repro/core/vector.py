@@ -49,7 +49,7 @@ time a kernel resolves to ``vector``, so a process that only ever scores on
 the scalar kernel never pays numpy's import time or memory.  The read-only
 arrays and the move table are built once per problem and shared; each
 optimizer run gets its own :class:`BatchEvaluator` and hence its own scratch
-workspaces, so portfolio members racing on threads over one problem never
+workspaces, so optimizers running on several threads over one problem never
 share mutable state.
 """
 

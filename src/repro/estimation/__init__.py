@@ -2,6 +2,7 @@
 
 from repro.estimation.adaptive import (
     AdaptiveReoptimizer,
+    DriftReference,
     ParameterDrift,
     ReoptimizationDecision,
     compute_drift,
@@ -16,6 +17,7 @@ from repro.estimation.sampling import (
 
 __all__ = [
     "AdaptiveReoptimizer",
+    "DriftReference",
     "LinkObservation",
     "OnlineStatistics",
     "ParameterDrift",

@@ -7,7 +7,9 @@ algorithm runs it inside a monitor → re-estimate → re-optimize loop.  This
 module provides that loop's decision logic:
 
 * :func:`compute_drift` quantifies how far freshly estimated parameters have
-  moved from the ones the current plan was optimized for, and
+  moved from the ones the current plan was optimized for
+  (:class:`DriftReference` measures the same drift against a compact copy of
+  those parameters, for callers that must not keep the problem alive), and
 * :class:`AdaptiveReoptimizer` decides when the drift is large enough to pay
   for a re-optimization and whether the newly optimal plan is enough of an
   improvement to actually switch (switching has a cost: in-flight tuples have
@@ -21,13 +23,21 @@ and act on the returned decision.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.optimizer import optimize
 from repro.core.problem import OrderingProblem
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, InvalidProblemError
 
-__all__ = ["ParameterDrift", "ReoptimizationDecision", "AdaptiveReoptimizer", "compute_drift"]
+__all__ = [
+    "ParameterDrift",
+    "DriftReference",
+    "ReoptimizationDecision",
+    "AdaptiveReoptimizer",
+    "compute_drift",
+]
 
 
 def _relative_change(old: float, new: float) -> float:
@@ -104,6 +114,80 @@ def compute_drift(current: OrderingProblem, observed: OrderingProblem) -> Parame
         max_selectivity_drift=selectivity_drift,
         max_transfer_drift=transfer_drift,
     )
+
+
+def _max_relative_change(olds: Iterable[float], news: Iterable[float]) -> float:
+    """The largest :func:`_relative_change` of the pairs (0 when none changed).
+
+    Equal pairs change by exactly 0, which never raises a maximum that starts
+    at 0, so they are skipped without computing it.
+    """
+    worst = 0.0
+    for old, new in zip(olds, news):
+        if old != new:
+            change = _relative_change(old, new)
+            if change > worst:
+                worst = change
+    return worst
+
+
+@dataclass(frozen=True, slots=True)
+class DriftReference:
+    """The parameters a plan was optimized for, without the problem itself.
+
+    Holds the service names and one ``array('d')``: the costs, then the
+    selectivities, then the transfer matrix row by row, all in the reference
+    problem's service order.  :meth:`drift` is bit-identical to
+    :func:`compute_drift` against the problem the reference was taken from —
+    services are matched by name, and an unmatched name set raises
+    :class:`~repro.exceptions.EstimationError` — at a fraction of the memory
+    a whole :class:`~repro.core.problem.OrderingProblem` holds.
+    """
+
+    names: tuple[str, ...]
+    """Service names, in the reference problem's order."""
+
+    values: array
+    """Costs, selectivities and the row-major transfer matrix."""
+
+    @classmethod
+    def of(cls, problem: OrderingProblem) -> "DriftReference":
+        """Snapshot ``problem``'s parameters."""
+        values = array("d", problem.costs)
+        values.extend(problem.selectivities)
+        for index in range(problem.size):
+            values.extend(problem.transfer.row(index))
+        return cls(names=tuple(service.name for service in problem.services), values=values)
+
+    def drift(self, observed: OrderingProblem) -> ParameterDrift:
+        """``compute_drift(reference problem, observed)``, from the snapshot."""
+        size = len(self.names)
+        # Names are unique within a problem, so equal sizes plus every
+        # reference name found in ``observed`` is the same name set.
+        try:
+            index_map = [observed.service_index(name) for name in self.names]
+        except InvalidProblemError:
+            index_map = []
+        if observed.size != size or len(index_map) != size:
+            raise EstimationError(
+                "cannot compute drift: the two problems describe different service sets"
+            )
+        values = self.values
+        costs, selectivities = observed.costs, observed.selectivities
+        transfer = observed.transfer
+        # The diagonal is zero in both matrices and changes by exactly 0.
+        observed_transfer = [
+            row[j] for row in (transfer.row(i) for i in index_map) for j in index_map
+        ]
+        return ParameterDrift(
+            max_cost_drift=_max_relative_change(
+                values[:size], [costs[i] for i in index_map]
+            ),
+            max_selectivity_drift=_max_relative_change(
+                values[size : 2 * size], [selectivities[i] for i in index_map]
+            ),
+            max_transfer_drift=_max_relative_change(values[2 * size :], observed_transfer),
+        )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ built-in exceptions such as :class:`KeyboardInterrupt`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.result import OptimizationResult
+
 
 class ReproError(Exception):
     """Base class for every exception raised by the library."""
@@ -41,7 +46,16 @@ class OptimizationError(ReproError):
 
 
 class SearchLimitExceededError(OptimizationError):
-    """An optimizer hit a configured node or time limit before completing."""
+    """An optimizer hit a configured node or time limit before completing.
+
+    ``incumbent`` is the best plan the search held when it was cut short
+    (``optimal=False``), for searches that keep one (branch-and-bound);
+    ``None`` when the search had no complete plan to hand back.
+    """
+
+    def __init__(self, message: str, incumbent: OptimizationResult | None = None) -> None:
+        super().__init__(message)
+        self.incumbent = incumbent
 
 
 class ProblemTooLargeError(OptimizationError):

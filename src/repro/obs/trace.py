@@ -32,8 +32,8 @@ whatever processes the request touched.  The design is deliberately small:
   tree, with no positional hand-off.
 
 The collector is a plain list shared by the activation and every child scope;
-appends are atomic under the GIL, so racing portfolio threads may finish
-spans concurrently without a lock.
+appends are atomic under the GIL, so spans finished concurrently on several
+threads (a service's optimizer pool) need no lock.
 """
 
 from __future__ import annotations

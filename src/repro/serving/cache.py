@@ -16,11 +16,13 @@ Eviction policy:
   ``stale``) so the caller can answer immediately and re-optimize in the
   background — the serving layer's classic stale-while-revalidate contract.
 
-Drift-based revalidation hooks into :func:`repro.estimation.adaptive.compute_drift`:
+Drift-based revalidation hooks into :class:`repro.estimation.adaptive.DriftReference`:
 fingerprint quantization deliberately buckets nearby problems onto the same
 key, so :meth:`PlanCache.needs_revalidation` measures how far the requesting
 problem's parameters have drifted from the ones the cached plan was optimized
-for and reports when they moved beyond the configured threshold.
+for and reports when they moved beyond the configured threshold.  An entry
+keeps those parameters as one compact array, never the problem object itself,
+so a full cache holds plans and numbers, not problem graphs.
 
 Entries live in one recency-ordered ``OrderedDict`` under one lock, which
 also guards the counters: a lookup's read, expiry decision, drop-or-promote
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.problem import OrderingProblem
-from repro.estimation.adaptive import compute_drift
+from repro.estimation.adaptive import DriftReference
 from repro.exceptions import EstimationError, ServingError
 from repro.obs.trace import trace_span
 from repro.serving.fingerprint import ProblemFingerprint
@@ -98,7 +100,7 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CachedPlan:
     """One cached optimization outcome, stored in canonical positions."""
 
@@ -117,8 +119,9 @@ class CachedPlan:
     optimal: bool
     """Whether the producing algorithm guarantees global optimality."""
 
-    problem: OrderingProblem
-    """The concrete instance the plan was optimized for (drift reference)."""
+    reference: DriftReference
+    """The parameters of the instance the plan was optimized for (drift
+    reference)."""
 
     created_at: float
     """Cache-clock timestamp of the insertion."""
@@ -290,7 +293,11 @@ class PlanCache:
         optimal: bool,
         problem: OrderingProblem,
     ) -> CachedPlan:
-        """Store (or refresh) the plan cached for ``fingerprint``."""
+        """Store (or refresh) the plan cached for ``fingerprint``.
+
+        ``problem`` is the instance the plan was optimized for; the entry
+        keeps a :class:`DriftReference` of its parameters, not the problem.
+        """
         if len(positions) != fingerprint.size:
             raise ServingError(
                 f"plan covers {len(positions)} positions but the fingerprint has "
@@ -302,7 +309,7 @@ class PlanCache:
             cost=cost,
             algorithm=algorithm,
             optimal=optimal,
-            problem=problem,
+            reference=DriftReference.of(problem),
             created_at=self.clock(),
         )
         key = fingerprint.key
@@ -335,17 +342,17 @@ class PlanCache:
     def needs_revalidation(
         self, entry: CachedPlan, problem: OrderingProblem, drift_threshold: float
     ) -> bool:
-        """Whether ``problem`` drifted too far from the entry's reference problem.
+        """Whether ``problem`` drifted too far from the entry's reference parameters.
 
         Quantization maps nearby problems to one fingerprint; this measures the
-        *actual* parameter drift (via
-        :func:`repro.estimation.adaptive.compute_drift`) between the problem
+        *actual* parameter drift (:meth:`DriftReference.drift`, bit-identical
+        to :func:`repro.estimation.adaptive.compute_drift`) between the problem
         the plan was optimized for and the one now asking.  Problems whose
         service sets cannot be matched by name are conservatively reported as
         needing revalidation.
         """
         try:
-            drift = compute_drift(entry.problem, problem)
+            drift = entry.reference.drift(problem)
         except EstimationError:
             drifted = True
         else:

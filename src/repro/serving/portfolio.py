@@ -3,48 +3,55 @@
 A plan service answers under a latency budget, but the registry's algorithms
 span five orders of magnitude in runtime: the greedy heuristics return in
 microseconds, beam search in milliseconds, branch-and-bound (exact) possibly
-much longer on large instances.  The portfolio exploits that spread:
+much longer on large instances.  The portfolio exploits that spread with a
+**staged ladder** that runs on the caller's thread:
 
 1. the **anytime seed** — the first configured algorithm (greedy by default)
-   runs synchronously, so there is always an answer to return, then
-2. the remaining algorithms **race** on a shared
-   :class:`~concurrent.futures.ThreadPoolExecutor` until the first member
-   *proves* optimality (no other member can beat a proven cost) or the budget
-   expires, whichever comes first.
+   runs to completion regardless of the budget, so there is always an answer
+   to return, then
+2. every later member runs in ladder order, each only if no earlier member
+   *proved* optimality (no member can beat a proven cost).  Every member but
+   the last may use at most half of the budget that remains when it starts;
+   the last may use all of it.
 
-Every race owns one cooperative stop signal (a :class:`threading.Event`)
-handed to each member's :func:`~repro.core.optimizer.optimize` call.  The
-race sets it at the first proof, at the deadline and on :meth:`close`; every
-search loop checks it and raises
-:class:`~repro.exceptions.SearchLimitExceededError`, so a member still
-running when the race ends — even an over-budget exact solver — gives its
-worker thread back within one loop step instead of running to completion.
+The default ladder puts branch-and-bound right after the seed: it proves the
+optimum of most served instances in milliseconds, and beam search runs only
+when the proof did not finish in time.  Members do not race on threads:
+threads share one interpreter, so a race only time-slices the proof with
+work that cannot beat it.
 
-The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` — it never
-duplicates a runner — and returns the best
-:class:`~repro.core.result.OptimizationResult` observed when the race ends,
-ties broken by ladder position.  Before the race starts it builds the
-problem's evaluation kernel
-(:meth:`~repro.core.problem.OrderingProblem.evaluator`) once, so every racing
-member shares the same pre-extracted arrays instead of each worker thread
-lazily building its own on first use.  Because the seed always completes, the
-portfolio's answer is never worse than the seed algorithm's; algorithms that
-error out (e.g. an exact solver refusing an over-size instance) are recorded,
-not fatal.
+Each member's ``stop`` argument to :func:`~repro.core.optimizer.optimize` is
+a signal whose ``is_set()`` turns true at the member's deadline or when the
+portfolio is closed.  Every search loop checks it and raises
+:class:`~repro.exceptions.SearchLimitExceededError`, so an over-budget member
+returns within one loop step of its deadline and :meth:`PortfolioOptimizer.close`
+ends a race in flight.  A stopped branch-and-bound hands back its best plan
+so far (the error's ``incumbent``) as that member's result.
+
+The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` and returns the
+best :class:`~repro.core.result.OptimizationResult` of the ladder, ties
+broken by ladder position.  Because the seed always completes, the answer is
+never worse than the seed's; members that error out (e.g. an exact solver
+refusing an over-size instance) are recorded, not fatal.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.optimizer import ALGORITHMS, optimize
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult
-from repro.exceptions import OptimizationError, ReproError, ServingError
-from repro.obs.trace import ActiveTrace, capture, trace_span
+from repro.exceptions import (
+    OptimizationError,
+    ReproError,
+    SearchLimitExceededError,
+    ServingError,
+)
+from repro.obs.trace import trace_span
 from repro.utils.timing import Stopwatch
 
 __all__ = [
@@ -54,8 +61,9 @@ __all__ = [
     "run_portfolio",
 ]
 
-DEFAULT_PORTFOLIO = ("greedy_min_term", "beam_search", "branch_and_bound")
-"""Default algorithm ladder: instant heuristic, polynomial refinement, exact."""
+DEFAULT_PORTFOLIO = ("greedy_min_term", "branch_and_bound", "beam_search")
+"""Default algorithm ladder: instant heuristic, exact proof, then beam search
+for the instances the proof could not finish in time."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +71,12 @@ class PortfolioOptions:
     """Configuration of one portfolio race."""
 
     algorithms: tuple[str, ...] = DEFAULT_PORTFOLIO
-    """Algorithm names from :data:`repro.core.optimizer.ALGORITHMS`; the first
-    one is the synchronous anytime seed."""
+    """Algorithm names from :data:`repro.core.optimizer.ALGORITHMS`, in ladder
+    order; the first one is the anytime seed."""
 
     budget_seconds: float | None = 1.0
-    """Wall-clock budget for the racing algorithms (``None`` waits for all)."""
+    """Wall-clock budget for the members after the seed (``None`` lets every
+    member run until it finishes or an earlier one proved)."""
 
     algorithm_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     """Per-algorithm keyword options, e.g. ``{"beam_search": {"beam_width": 8}}``."""
@@ -90,24 +99,25 @@ class PortfolioOptions:
 
 @dataclass(frozen=True)
 class PortfolioResult:
-    """The outcome of racing a portfolio on one problem."""
+    """The outcome of running a portfolio ladder on one problem."""
 
     best: OptimizationResult
-    """The cheapest plan any member produced before the race ended; ties go
-    to the member earliest in the ladder."""
+    """The cheapest plan any member produced; ties go to the member earliest
+    in the ladder."""
 
     results: dict[str, OptimizationResult]
-    """Results of every member that completed in time, by algorithm name."""
+    """Results by algorithm name: every member that completed, plus the
+    incumbent of a branch-and-bound member that was stopped."""
 
     errors: dict[str, str]
     """Error messages of members that raised, by algorithm name."""
 
     timed_out: tuple[str, ...]
-    """Members that had not finished when the budget expired."""
+    """Members that did not run, or were stopped, because of the deadline."""
 
     stopped: tuple[str, ...]
-    """Members that had not finished when another member proved optimality
-    (they were told to stop: the proven cost cannot be beaten)."""
+    """Members skipped because an earlier member proved optimality (the
+    proven cost cannot be beaten)."""
 
     elapsed_seconds: float
     """Wall-clock time the race took (≤ budget + seed time)."""
@@ -124,36 +134,47 @@ class PortfolioResult:
         return (worst - self.best.cost) / worst
 
 
-class PortfolioOptimizer:
-    """Runs deadline-budgeted portfolio races, reusing one thread pool.
+class _MemberStop:
+    """The stop signal one ladder member sees: set once the race is stopped
+    (the portfolio closed) or the member's deadline has passed."""
 
-    The executor is shared across races, which is what the long-running
-    :class:`~repro.serving.service.PlanService` needs; one-shot callers can use
+    __slots__ = ("_race", "_deadline")
+
+    def __init__(self, race: threading.Event, deadline: float | None) -> None:
+        self._race = race
+        self._deadline = deadline
+
+    def is_set(self) -> bool:
+        return self._race.is_set() or self.expired()
+
+    def expired(self) -> bool:
+        return self._deadline is not None and time.perf_counter() >= self._deadline
+
+
+class PortfolioOptimizer:
+    """Runs deadline-budgeted portfolio ladders on the caller's thread.
+
+    One instance serves any number of concurrent callers, which is what the
+    long-running :class:`~repro.serving.service.PlanService` needs;
+    :meth:`close` stops every race in flight.  One-shot callers can use
     :func:`run_portfolio` instead.
     """
 
-    def __init__(self, options: PortfolioOptions | None = None, max_workers: int | None = None):
+    def __init__(self, options: PortfolioOptions | None = None):
         self.options = options if options is not None else PortfolioOptions()
-        workers = max_workers if max_workers is not None else 2 * len(self.options.algorithms)
-        if workers < 1:
-            raise ServingError(f"max_workers must be at least 1, got {workers!r}")
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="portfolio"
-        )
         # The stop signals of the races in flight, so close() can end them.
-        self._racing: set[threading.Event] = set()
+        self._racing: set[threading.Event] = set()  # guarded-by: _racing_lock
         self._racing_lock = threading.Lock()
-        self._closed = threading.Event()
+        self._closed = False  # guarded-by: _racing_lock
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every race in flight and shut the executor down without waiting."""
+        """Stop every race in flight and refuse new ones."""
         with self._racing_lock:
-            self._closed.set()
+            self._closed = True
             for stop in self._racing:
                 stop.set()
-        self._executor.shutdown(wait=False, cancel_futures=True)
 
     def __enter__(self) -> "PortfolioOptimizer":
         return self
@@ -166,11 +187,11 @@ class PortfolioOptimizer:
     def optimize(
         self, problem: OrderingProblem, budget_seconds: float | None = None
     ) -> PortfolioResult:
-        """Race the configured portfolio on ``problem``.
+        """Run the configured ladder on ``problem``.
 
         ``budget_seconds`` overrides the options' budget for this race.  The
-        first algorithm runs synchronously regardless of the budget, so the
-        call always returns a valid result.
+        first algorithm runs regardless of the budget, so the call always
+        returns a valid result.
         """
         options = self.options
         budget = options.budget_seconds if budget_seconds is None else budget_seconds
@@ -178,7 +199,7 @@ class PortfolioOptimizer:
             raise ServingError(f"budget_seconds must be non-negative, got {budget!r}")
         stop = threading.Event()
         with self._racing_lock:
-            if self._closed.is_set():
+            if self._closed:
                 raise ServingError("the portfolio optimizer has been closed")
             self._racing.add(stop)
         try:
@@ -190,7 +211,6 @@ class PortfolioOptimizer:
                     stopped=len(result.stopped),
                 )
         finally:
-            stop.set()  # the race is over, however it ended
             with self._racing_lock:
                 self._racing.discard(stop)
         return result
@@ -203,63 +223,49 @@ class PortfolioOptimizer:
         stop: threading.Event,
     ) -> PortfolioResult:
         stopwatch = Stopwatch().start()
-        # Build the shared evaluation kernel before any member runs: the racing
-        # threads all reuse it, and the (idempotent) lazy construction happens
-        # once instead of concurrently in every worker.
-        problem.evaluator()
-        seed_name = options.algorithms[0]
+        deadline = None if budget is None else time.perf_counter() + budget
         results: dict[str, OptimizationResult] = {}
         errors: dict[str, str] = {}
-        try:
-            with trace_span("portfolio.member", algorithm=seed_name, seed=True):
-                results[seed_name] = self._run_member(problem, seed_name, stop)
-        except ReproError as error:
-            errors[seed_name] = str(error)
-        proved = any(result.optimal for result in results.values())
-
-        # Racing members run on executor threads, where the ambient trace
-        # contextvar does not flow; hand the captured activation over
-        # explicitly so their spans join this request's tree.
-        context = capture()
-        try:
-            futures = {
-                self._executor.submit(self._traced_member, problem, name, context, stop): name
-                for name in options.algorithms[1:]
-            }
-        except RuntimeError:  # the executor shut down: close() raced this call
-            raise ServingError("the portfolio optimizer has been closed") from None
-        pending = set(futures)
-        while pending and not proved:
-            timeout = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
-            done, pending = concurrent.futures.wait(
-                pending, timeout=timeout, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            if not done:
-                break  # the deadline passed
-            for future in done:
-                name = futures[future]
-                try:
-                    result = future.result()
-                except ReproError as error:
-                    errors[name] = str(error)
-                except concurrent.futures.CancelledError:
-                    errors[name] = "cancelled: the portfolio was closed"
+        timed_out: list[str] = []
+        stopped: list[str] = []
+        proved = False
+        last = len(options.algorithms) - 1
+        for position, name in enumerate(options.algorithms):
+            if proved:
+                stopped.append(name)
+                continue
+            if stop.is_set():
+                errors[name] = "cancelled: the portfolio was closed"
+                continue
+            member_deadline = None
+            if deadline is not None and position > 0:
+                now = time.perf_counter()
+                if now >= deadline:
+                    timed_out.append(name)
+                    continue
+                member_deadline = deadline if position == last else now + (deadline - now) / 2
+            member_stop = _MemberStop(stop, member_deadline)
+            try:
+                with trace_span("portfolio.member", algorithm=name, position=position):
+                    results[name] = self._run_member(problem, name, member_stop)
+                proved = results[name].optimal
+            except SearchLimitExceededError as error:
+                if error.incumbent is not None:
+                    results[name] = error.incumbent
+                if member_stop.expired():
+                    timed_out.append(name)
                 else:
-                    results[name] = result
-                    proved = proved or result.optimal
-        # Queued members never start; running ones stop at their next check
-        # once optimize() sets the race's stop signal.
-        for future in pending:
-            future.cancel()
-        unfinished = tuple(sorted(futures[future] for future in pending))
+                    errors[name] = str(error)
+            except ReproError as error:
+                errors[name] = str(error)
 
         if not results:
             raise OptimizationError(
                 f"no portfolio member produced a plan within the budget "
-                f"(errors: {errors!r}, timed out: {unfinished!r})"
+                f"(errors: {errors!r}, timed out: {tuple(timed_out)!r})"
             )
         # Iterating in ladder order makes min() break (cost, optimal) ties by
-        # ladder position, not by the order in which members finished.
+        # ladder position.
         best = min(
             (results[name] for name in options.algorithms if name in results),
             key=lambda result: (result.cost, not result.optimal),
@@ -268,23 +274,13 @@ class PortfolioOptimizer:
             best=best,
             results=results,
             errors=errors,
-            timed_out=() if proved else unfinished,
-            stopped=unfinished if proved else (),
+            timed_out=tuple(timed_out),
+            stopped=tuple(stopped),
             elapsed_seconds=stopwatch.stop(),
         )
 
-    def _traced_member(
-        self,
-        problem: OrderingProblem,
-        name: str,
-        context: ActiveTrace | None,
-        stop: threading.Event,
-    ) -> OptimizationResult:
-        with trace_span("portfolio.member", context=context, algorithm=name):
-            return self._run_member(problem, name, stop)
-
     def _run_member(
-        self, problem: OrderingProblem, name: str, stop: threading.Event
+        self, problem: OrderingProblem, name: str, stop: _MemberStop
     ) -> OptimizationResult:
         member_options = dict(self.options.algorithm_options.get(name, {}))
         try:

@@ -8,9 +8,9 @@ instances; the service answers each with a :class:`PlanResponse`, combining
   identical problems are answered without optimizing again, with
   stale-while-revalidate refresh when parameters drift,
 * the **optimizer portfolio** (:mod:`repro.serving.portfolio`) — cache misses
-  are optimized under the configured latency budget; the race ends at the
-  first proof of optimality or at the deadline, and its members stop when
-  told,
+  are optimized under the configured latency budget by a ladder of members
+  run in turn on the optimizing thread; it ends at the first proof of
+  optimality or at the deadline, and its members stop when told,
 * **single-flight coalescing** (:class:`~repro.serving.cache.SingleFlight`) —
   N concurrent misses on one fingerprint trigger exactly one optimization;
   the N-1 followers wait for the leader's answer instead of stampeding the
@@ -106,9 +106,9 @@ class PlanServiceConfig:
     """Decimal digits of the fingerprint quantization grid."""
 
     drift_threshold: float | None = 0.05
-    """Parameter drift (vs the cached reference problem) beyond which a fresh
-    hit still triggers a background re-optimization; ``None`` disables the
-    check."""
+    """Parameter drift (vs the parameters the cached plan was optimized for)
+    beyond which a fresh hit still triggers a background re-optimization;
+    ``None`` disables the check."""
 
     budget_seconds: float | None = 1.0
     """Latency budget handed to the portfolio on cache misses."""
@@ -265,8 +265,7 @@ class PlanService:
                 algorithms=self.config.algorithms,
                 budget_seconds=self.config.budget_seconds,
                 algorithm_options=dict(self.config.algorithm_options),
-            ),
-            max_workers=max(2 * len(self.config.algorithms), self.config.max_in_flight),
+            )
         )
         self._single_flight = SingleFlight()
         # Cold optimizations run here, at most max_in_flight at a time.
@@ -285,7 +284,7 @@ class PlanService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop background refresh work and every portfolio member still racing."""
+        """Stop background refresh work and every portfolio member still running."""
         self._closed.set()
         self._optimizer.shutdown(wait=False)
         self._revalidator.shutdown(wait=False, cancel_futures=True)

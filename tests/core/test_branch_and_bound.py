@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -150,6 +152,35 @@ class TestStatisticsAndLimits:
         options = BranchAndBoundOptions(node_limit=3, seed_incumbent=False)
         with pytest.raises(SearchLimitExceededError):
             BranchAndBoundOptimizer(options).optimize(problem)
+
+    def test_node_limit_hands_back_the_incumbent(self, make_resistant_problem):
+        problem = make_resistant_problem(12, 0)
+        options = BranchAndBoundOptions(node_limit=50)
+        with pytest.raises(SearchLimitExceededError) as raised:
+            BranchAndBoundOptimizer(options).optimize(problem)
+        incumbent = raised.value.incumbent
+        assert incumbent is not None and not incumbent.optimal
+        assert incumbent.algorithm == "branch_and_bound"
+        assert incumbent.cost == problem.cost(incumbent.order)
+        seed = incumbent.statistics.extra["seed_cost"]
+        assert incumbent.cost <= seed
+
+    def test_a_stopped_search_hands_back_at_least_the_greedy_seed(self, make_random_problem):
+        problem = make_random_problem(10, 2)
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(SearchLimitExceededError) as raised:
+            BranchAndBoundOptimizer().optimize(problem, stop=stop)
+        incumbent = raised.value.incumbent
+        assert incumbent is not None and not incumbent.optimal
+        assert incumbent.cost == incumbent.statistics.extra["seed_cost"]
+
+    def test_without_a_plan_there_is_no_incumbent(self, make_random_problem):
+        problem = make_random_problem(8, 5)
+        options = BranchAndBoundOptions(node_limit=1, seed_incumbent=False)
+        with pytest.raises(SearchLimitExceededError) as raised:
+            BranchAndBoundOptimizer(options).optimize(problem)
+        assert raised.value.incumbent is None
 
     def test_lemma2_closures_counted(self, make_random_problem):
         closures = 0

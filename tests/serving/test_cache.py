@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -285,9 +287,20 @@ class TestEntryMap:
         assert entry.fingerprint.key == fingerprint.key
         assert entry.positions == fingerprint.to_positions(tuple(range(problem.size)))
         assert entry.cost == 2.5 and entry.algorithm == "test" and not entry.optimal
-        assert entry.problem is problem
+        assert entry.reference.names == tuple(service.name for service in problem.services)
         assert entry.created_at == 7.0
         assert len(cache) == 1
+
+    def test_put_keeps_no_reference_to_the_problem(self):
+        cache = PlanCache(capacity=3)
+        problem = random_problem(6, 0)
+        problem.evaluator()  # the heaviest thing a served problem carries
+        fingerprint = store(cache, problem)
+        alive = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert alive() is None, "a cache entry must not keep its problem alive"
+        assert cache.get(fingerprint).hit
 
     def test_a_miss_leaves_entries_and_recency_unchanged(self):
         cache = PlanCache(capacity=3)

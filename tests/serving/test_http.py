@@ -66,7 +66,9 @@ class TestFailureAccounting:
         def broken_member(problem, **options):
             raise ValueError("member exploded")
 
-        monkeypatch.setitem(ALGORITHMS, "beam_search", broken_member)
+        # The proof runs on every cold miss (beam search only runs when it
+        # does not finish in time), so inject the fault there.
+        monkeypatch.setitem(ALGORITHMS, "branch_and_bound", broken_member)
         with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
             with serve_async(plan_service, host="127.0.0.1", port=0) as handle:
                 host, port = handle.address

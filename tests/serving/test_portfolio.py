@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import OptimizationResult, optimize
 from repro.core.optimizer import ALGORITHMS
-from repro.exceptions import ServingError
+from repro.exceptions import SearchLimitExceededError, ServingError
+from repro.obs.trace import activate_trace
 from repro.serving import PortfolioOptimizer, PortfolioOptions, run_portfolio
 
 
@@ -47,8 +48,16 @@ class TestRace:
             assert race.best.cost <= result.cost + 1e-9
         assert race.best.optimal  # some exact member completed and proved it
 
-    def test_the_first_proof_ends_the_race(self, make_random_problem):
+    def test_the_first_proof_ends_the_race(self, make_random_problem, monkeypatch):
         problem = make_random_problem(24, 3)
+        beam_calls = []
+        beam = ALGORITHMS["beam_search"]
+
+        def tracked(problem, **options):
+            beam_calls.append(problem)
+            return beam(problem, **options)
+
+        monkeypatch.setitem(ALGORITHMS, "beam_search", tracked)
         options = PortfolioOptions(
             algorithms=("greedy_min_term", "branch_and_bound", "beam_search"),
             budget_seconds=None,
@@ -57,9 +66,66 @@ class TestRace:
         )
         race = run_portfolio(problem, options)
         assert race.best.algorithm == "branch_and_bound" and race.best.optimal
+        # "stopped" means skipped: a member after the proof never starts.
         assert race.stopped == ("beam_search",)
+        assert beam_calls == []
         assert "beam_search" not in race.results
         assert not race.timed_out
+
+    @pytest.mark.parametrize("size", [8, 12, 16, 20, 24])
+    def test_the_default_ladder_answers_with_the_proof(self, make_random_problem, size):
+        for seed in range(2):
+            problem = make_random_problem(size, seed)
+            race = run_portfolio(problem, PortfolioOptions(budget_seconds=None))
+            exact = optimize(problem, "branch_and_bound")
+            assert race.best.cost == exact.cost
+            assert race.best.optimal
+            assert race.stopped == ("beam_search",)
+
+    def test_a_race_starts_no_thread_and_nests_member_spans(self, make_random_problem):
+        problem = make_random_problem(24, 1)
+        before = set(threading.enumerate())
+        with activate_trace() as active:
+            race = run_portfolio(problem, PortfolioOptions(budget_seconds=1.0))
+        assert set(threading.enumerate()) == before
+        assert race.best.optimal
+        [race_span] = [span for span in active.spans if span.name == "portfolio.race"]
+        members = [span for span in active.spans if span.name == "portfolio.member"]
+        assert [span.annotations["algorithm"] for span in members] == [
+            "greedy_min_term",
+            "branch_and_bound",
+        ]
+        assert all(span.parent_id == race_span.span_id for span in members)
+
+    def test_a_proof_cut_by_the_deadline_hands_back_its_incumbent(
+        self, make_resistant_problem
+    ):
+        """B&B needs ~15 ms on this instance; cut at half of a 2 ms budget it
+        still yields its incumbent, and beam search gets the other half."""
+        problem = make_resistant_problem(40, 1)
+        budget = 0.002
+        race = run_portfolio(problem, PortfolioOptions(budget_seconds=budget))
+        assert "branch_and_bound" in race.timed_out
+        assert "branch_and_bound" not in race.errors
+        incumbent = race.results["branch_and_bound"]
+        assert not incumbent.optimal
+        problem.validate_plan(incumbent.order)
+        assert incumbent.cost <= incumbent.statistics.extra["seed_cost"]
+        assert not race.best.optimal and race.best.cost <= incumbent.cost
+
+    def test_a_proof_cut_by_its_node_limit_is_an_error_with_a_result(
+        self, make_resistant_problem
+    ):
+        problem = make_resistant_problem(24, 0)
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "branch_and_bound"),
+            budget_seconds=None,
+            algorithm_options={"branch_and_bound": {"node_limit": 5}},
+        )
+        race = run_portfolio(problem, options)
+        assert "node limit" in race.errors["branch_and_bound"]
+        assert not race.timed_out
+        assert not race.results["branch_and_bound"].optimal
 
     def test_cost_ties_go_to_the_earlier_ladder_member(self, four_service_problem, monkeypatch):
         optimum = optimize(four_service_problem, algorithm="exhaustive").order
@@ -73,8 +139,8 @@ class TestRace:
 
             return runner
 
-        # Both racing members return the optimal plan without proving it; the
-        # one earlier in the ladder finishes last.
+        # Both later members return the optimal plan without proving it, so
+        # both run; the earlier one also takes longer.
         monkeypatch.setitem(ALGORITHMS, "worse_seed", member("worse_seed", 0.0, worst))
         monkeypatch.setitem(ALGORITHMS, "early_member", member("early_member", 0.2, optimum))
         monkeypatch.setitem(ALGORITHMS, "late_member", member("late_member", 0.0, optimum))
@@ -94,9 +160,14 @@ class TestRace:
     def test_deadline_is_respected(self, four_service_problem, monkeypatch):
         slow_calls = []
 
-        def slow_runner(problem, **options):
+        def slow_runner(problem, *, stop, **options):
+            # Two seconds of work that checks its stop signal every step.
             slow_calls.append(problem)
-            time.sleep(2.0)
+            finish = time.perf_counter() + 2.0
+            while time.perf_counter() < finish:
+                if stop.is_set():
+                    raise SearchLimitExceededError("slow_exact was stopped")
+                time.sleep(0.005)
             return optimize(problem, algorithm="exhaustive")
 
         monkeypatch.setitem(ALGORITHMS, "slow_exact", slow_runner)
@@ -161,12 +232,31 @@ class TestLifecycle:
         with pytest.raises(ServingError):
             portfolio.optimize(four_service_problem)
 
-    def test_executor_is_reused_across_races(self, four_service_problem, three_service_problem):
+    def test_one_optimizer_serves_successive_races(
+        self, four_service_problem, three_service_problem
+    ):
         with PortfolioOptimizer(PortfolioOptions(budget_seconds=None)) as portfolio:
             first = portfolio.optimize(four_service_problem)
             second = portfolio.optimize(three_service_problem)
             assert first.best.plan.problem is four_service_problem
             assert second.best.plan.problem is three_service_problem
+
+    def test_close_ends_a_race_in_flight(self, make_resistant_problem):
+        problem = make_resistant_problem(12, 0)
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "exhaustive"),
+            budget_seconds=None,
+            algorithm_options={"exhaustive": {"max_size": 12}},
+        )
+        portfolio = PortfolioOptimizer(options)
+        closer = threading.Timer(0.2, portfolio.close)
+        closer.start()
+        started = time.perf_counter()
+        race = portfolio.optimize(problem)
+        closer.join()
+        assert time.perf_counter() - started < 2.0
+        assert "exhaustive" in race.errors and not race.timed_out
+        assert race.best.algorithm == "greedy_min_term"
 
 
 class TestStopSignal:
@@ -174,7 +264,7 @@ class TestStopSignal:
         self, make_resistant_problem, monkeypatch
     ):
         """An over-size exhaustive member (11! plans, minutes of work) costs
-        the race its budget, and its thread is free again right after."""
+        the race its budget, on the caller's own thread."""
         problem = make_resistant_problem(11)
         threads = []
         exhaustive = ALGORITHMS["exhaustive"]
@@ -197,7 +287,4 @@ class TestStopSignal:
         assert race.timed_out == ("exhaustive",)
         assert race.best.algorithm == "greedy_min_term"
         problem.validate_plan(race.best.order)
-        [member_thread] = threads
-        assert member_thread.name.startswith("portfolio")
-        member_thread.join(timeout=1.0)
-        assert not member_thread.is_alive(), "the stopped member must give its thread back"
+        assert threads == [threading.current_thread()], "members run on the caller's thread"

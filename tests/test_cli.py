@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.serialization import load_problem, save_problem
 from repro.workloads import credit_card_screening
@@ -184,6 +191,63 @@ class TestServe:
         output = capsys.readouterr().out
         assert "async front end" in output
         assert "shutting down" in output
+
+
+def _descendants(root: int) -> set[int]:
+    """Every live, non-zombie process below ``root``, read from ``/proc``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        state, parent = stat[stat.rindex(")") + 2 :].split()[:2]
+        if state != "Z":
+            children.setdefault(int(parent), []).append(int(entry))
+    found, frontier = set(), [root]
+    while frontier:
+        for child in children.get(frontier.pop(), ()):
+            found.add(child)
+            frontier.append(child)
+    return found
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="reads the process tree from /proc")
+def test_sigterm_drains_the_server_and_reaps_its_shards():
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--shards", "2",
+         "--shard-backend", "processes", "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    children: set[int] = set()
+    try:
+        assert "listening on http://" in server.stdout.readline()
+        children = _descendants(server.pid)
+        assert len(children) >= 2, "two shard processes run below the server"
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        assert "shutting down" in server.stdout.read()
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _alive(pid)], "a shard outlived its server"
+    finally:
+        for pid in [server.pid, *children]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        server.wait()
+        server.stdout.close()
 
 
 class TestScenariosAndExperiments:
