@@ -372,15 +372,6 @@ def _wait_forever() -> None:  # pragma: no cover - interrupted, or patched in te
     threading.Event().wait()
 
 
-def _interrupt_on_sigterm():
-    """Make SIGTERM raise :class:`KeyboardInterrupt`, as Ctrl-C does, so a
-    terminated server drains and closes its shards; returns the replaced
-    handler (``None`` off the main thread, where handlers cannot be set)."""
-    if threading.current_thread() is not threading.main_thread():
-        return None
-    return signal.signal(signal.SIGTERM, signal.default_int_handler)
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serving import PlanService, PlanServiceConfig, serve_async
 
@@ -427,14 +418,15 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"http://{host}:{port} "
             f"(async front end; POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
         )
-        previous = _interrupt_on_sigterm()
+        # SIGTERM raises KeyboardInterrupt, as Ctrl-C does, so a terminated
+        # server drains its front end and closes its shards.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             _wait_forever()  # the event loop serves on its own thread
         except KeyboardInterrupt:
             print("shutting down")
         finally:
-            if previous is not None:
-                signal.signal(signal.SIGTERM, previous)
+            signal.signal(signal.SIGTERM, previous)
             front_end.close(timeout=args.graceful_timeout)
     return 0
 

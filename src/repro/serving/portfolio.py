@@ -22,11 +22,14 @@ work that cannot beat it.
 
 Each member's ``stop`` argument to :func:`~repro.core.optimizer.optimize` is
 a signal whose ``is_set()`` turns true at the member's deadline or when the
-portfolio is closed.  Every search loop checks it and raises
+portfolio is closed.  Every search loop of the library checks it and raises
 :class:`~repro.exceptions.SearchLimitExceededError`, so an over-budget member
 returns within one loop step of its deadline and :meth:`PortfolioOptimizer.close`
 ends a race in flight.  A stopped branch-and-bound hands back its best plan
-so far (the error's ``incumbent``) as that member's result.
+so far (the error's ``incumbent``) as that member's result.  A runner
+registered in :data:`~repro.core.optimizer.ALGORITHMS` from outside the
+library may ignore ``stop``; it alone runs on a daemon thread, which the race
+abandons at the member's deadline, so the deadline holds whatever it does.
 
 The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` and returns the
 best :class:`~repro.core.result.OptimizationResult` of the ladder, ties
@@ -37,10 +40,11 @@ refusing an over-size instance) are recorded, not fatal.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.core.optimizer import ALGORITHMS, optimize
 from repro.core.problem import OrderingProblem
@@ -76,7 +80,11 @@ class PortfolioOptions:
 
     budget_seconds: float | None = 1.0
     """Wall-clock budget for the members after the seed (``None`` lets every
-    member run until it finishes or an earlier one proved)."""
+    member run until it finishes or an earlier one proved).  A library search
+    notices its deadline at its next stop check, so it overruns by at most one
+    search step (one node for branch-and-bound, the subset-product fill or
+    one popcount layer for the dynamic programme); a runner registered from outside the library is
+    abandoned at its deadline."""
 
     algorithm_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     """Per-algorithm keyword options, e.g. ``{"beam_search": {"beam_width": 8}}``."""
@@ -120,7 +128,9 @@ class PortfolioResult:
     proven cost cannot be beaten)."""
 
     elapsed_seconds: float
-    """Wall-clock time the race took (≤ budget + seed time)."""
+    """Wall-clock time the race took: at most the budget plus the seed's time,
+    plus the step a library search was in when its deadline passed (see
+    :attr:`PortfolioOptions.budget_seconds`)."""
 
     @property
     def refinement(self) -> float:
@@ -283,12 +293,57 @@ class PortfolioOptimizer:
         self, problem: OrderingProblem, name: str, stop: _MemberStop
     ) -> OptimizationResult:
         member_options = dict(self.options.algorithm_options.get(name, {}))
+
+        def run() -> OptimizationResult:
+            try:
+                return optimize(problem, algorithm=name, stop=stop, **member_options)
+            except TypeError as error:
+                # An optimizer rejecting its options must surface as a recorded
+                # member error, not crash the whole race (cf. core.optimizer.compare).
+                raise OptimizationError(f"{name} rejected the options: {error}") from error
+
+        if ALGORITHMS[name] in _LIBRARY_RUNNERS:
+            return run()
+        return _run_abandonable(run, name, stop)
+
+
+_LIBRARY_RUNNERS = frozenset(ALGORITHMS.values())
+"""The library's own runners: each checks ``stop`` once per search step (the
+O(n²) constructions simply finish), so each runs on the caller's thread."""
+
+_WATCH_INTERVAL_SECONDS = 0.005
+"""How often the race looks at the stop signal while an outside runner works."""
+
+
+def _run_abandonable(
+    run: Callable[[], OptimizationResult], name: str, stop: _MemberStop
+) -> OptimizationResult:
+    """Run an outside runner, which may ignore ``stop``, on a daemon thread and
+    give up on it once ``stop`` is set; an abandoned runner finishes in the
+    background and its outcome is dropped."""
+    outcome: list[OptimizationResult | BaseException] = []
+    done = threading.Event()
+
+    def target() -> None:
         try:
-            return optimize(problem, algorithm=name, stop=stop, **member_options)
-        except TypeError as error:
-            # An optimizer rejecting its options must surface as a recorded
-            # member error, not crash the whole race (cf. core.optimizer.compare).
-            raise OptimizationError(f"{name} rejected the options: {error}") from error
+            outcome.append(run())
+        except BaseException as error:  # re-raised on the caller's thread
+            outcome.append(error)
+        finally:
+            done.set()
+
+    # The copied context carries the member span, so the runner's spans nest.
+    context = contextvars.copy_context()
+    threading.Thread(
+        target=context.run, args=(target,), name=f"portfolio-{name}", daemon=True
+    ).start()
+    while not done.wait(_WATCH_INTERVAL_SECONDS):
+        if stop.is_set():
+            raise SearchLimitExceededError(f"{name} was stopped")
+    [value] = outcome
+    if isinstance(value, BaseException):
+        raise value
+    return value
 
 
 def run_portfolio(
