@@ -1,29 +1,21 @@
-"""Scalar-vs-vector kernel microbenchmark: whole candidate sets per call.
+"""Scalar-vs-vector subset-DP benchmark: whole optimizer runs.
 
-Times the two implementations of the kernel contract the optimizers are
-written against (:func:`repro.core.vector.evaluation_kernel`) — the scalar
-:class:`~repro.core.evaluation.PlanEvaluator` and the vector
-:class:`~repro.core.vector.BatchEvaluator` — on the shapes the vector
-kernel was built for:
+The vector kernel (:mod:`repro.core.vector`) serves only the subset DP, so
+each cell times one whole :class:`~repro.core.dynamic_programming.DynamicProgrammingOptimizer`
+run on ``hard_problem(n)`` with each kernel.  Both kernels return the same
+plan, bit-identical cost and the same ``dp_states``, asserted here on every
+cell (and property-tested in ``tests/core/test_vector.py``), so the speedups
+below are free.
 
-* ``plans``     — score a batch of complete plans (vector ``score_orders``
-  vs a loop of the contract's ``cost``), swept over batch sizes;
-* ``beam``      — ``score_front``: every feasible extension of a beam front,
-  swept over front widths;
-* ``neighbours``— ``best_neighbor``: one steepest-descent step over the full
-  swap/relocate neighbourhood.
+* **Full mode** sweeps n = 6…16.  The cells below 8 show the crossover that
+  sets :data:`repro.core.vector.AUTO_MIN_SIZE`: the smallest n at which the
+  vector run wins.
+* **Quick mode** (the CI smoke) times n = 8 and 12.
 
-Both kernels return bit-identical results (asserted here on every cell, and
-property-tested exhaustively in ``tests/core/test_vector.py``), so the
-speedups below are free.
-
-The committed ``BENCH_vector.json`` backs the headline claim: >= 3x over
-scalar for beam-front and neighbourhood scoring at n >= 16 with batches of
->= 256 candidates.  (The scalar ``score_front`` scores a child without
-building it, so below ~256 candidates the vector kernel's fixed numpy call
-overhead keeps its beam-front lead under 2x.)  The payload embeds
-interpreter/numpy/BLAS provenance so the numbers stay interpretable across
-machines.
+The gate: the vector run is at least 1.5x faster than scalar at every
+n >= 12; the script exits 1 otherwise.  The payload embeds interpreter,
+numpy/BLAS, CPU-count and commit provenance so the numbers stay
+interpretable across machines.
 
 Usage::
 
@@ -36,103 +28,47 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import time
 from pathlib import Path
 
-from repro.core.vector import evaluation_kernel, numpy_available
+from repro.core.dynamic_programming import DynamicProgrammingOptimizer
+from repro.core.vector import AUTO_MIN_SIZE, numpy_available
 from repro.utils import runtime_provenance
 from repro.workloads import hard_problem
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_vector.json"
 
-FULL_SIZES = [8, 16, 24]
-QUICK_SIZES = [8, 16]
-FULL_PLAN_BATCHES = [16, 64, 256, 1024]
-QUICK_PLAN_BATCHES = [16, 64]
-FULL_BEAM_WIDTHS = [4, 16, 64]
-QUICK_BEAM_WIDTHS = [4, 16]
+FULL_SIZES = list(range(6, 17))
+QUICK_SIZES = [8, 12]
+GATE_MIN_SIZE = 12
+GATE_SPEEDUP = 1.5
 
 
-def best_seconds(fn, repeats: int, inner: int) -> float:
-    """Best-of-``repeats`` timing of ``inner`` back-to-back calls of ``fn``."""
-    best = float("inf")
+def _timed_run(problem, kernel: str):
+    started = time.perf_counter()
+    result = DynamicProgrammingOptimizer(max_size=problem.size, kernel=kernel).optimize(problem)
+    return time.perf_counter() - started, result
+
+
+def bench_dp(size: int, repeats: int) -> dict:
+    """Best-of-``repeats`` whole DP runs on both kernels, alternated."""
+    problem = hard_problem(size)
+    _, scalar_result = _timed_run(problem, "scalar")
+    _, vector_result = _timed_run(problem, "vector")
+    assert vector_result.plan.order == scalar_result.plan.order, "kernel mismatch"
+    assert vector_result.cost == scalar_result.cost, "kernel mismatch"
+    dp_states = scalar_result.statistics.extra["dp_states"]
+    assert vector_result.statistics.extra["dp_states"] == dp_states, "kernel mismatch"
+
+    scalar = vector = float("inf")
     for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - started) / inner)
-    return best
-
-
-def bench_plans(problem, batch_size: int, repeats: int, inner: int, rng) -> dict:
-    """Complete-plan batch scoring: ``score_orders`` vs a scalar ``cost`` loop."""
-    evaluator = evaluation_kernel(problem, "scalar")
-    batch = evaluation_kernel(problem, "vector")
-    orders = [tuple(rng.sample(range(problem.size), problem.size)) for _ in range(batch_size)]
-
-    vector_scores = batch.score_orders(orders)
-    scalar_scores = [evaluator.cost(order) for order in orders]
-    assert all(v == s for v, s in zip(vector_scores, scalar_scores)), "kernel mismatch"
-
-    scalar = best_seconds(lambda: [evaluator.cost(order) for order in orders], repeats, inner)
-    vector = best_seconds(lambda: batch.score_orders(orders), repeats, inner)
+        scalar = min(scalar, _timed_run(problem, "scalar")[0])
+        vector = min(vector, _timed_run(problem, "vector")[0])
     return {
-        "kind": "plans",
-        "size": problem.size,
-        "batch": batch_size,
-        "candidates": batch_size,
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
-    }
-
-
-def bench_beam_front(problem, width: int, repeats: int, inner: int, rng) -> dict:
-    """Beam-front scoring: ``score_front`` on both kernels."""
-    evaluator = evaluation_kernel(problem, "scalar")
-    batch = evaluation_kernel(problem, "vector")
-    size = problem.size
-    depth = size // 2
-    root = evaluator.root()
-    front = []
-    for _ in range(width):
-        state = root
-        for service in rng.sample(range(size), depth):
-            state = state.extend(service)
-        front.append(state)
-    candidates = width * (size - depth)
-    assert evaluator.score_front(front, False)[2] == batch.score_front(front, False)[2].tolist()
-
-    scalar = best_seconds(lambda: evaluator.score_front(front, False), repeats, inner)
-    vector = best_seconds(lambda: batch.score_front(front, False), repeats, inner)
-    return {
-        "kind": "beam",
+        "kind": "dp",
+        "family": "hard_problem",
         "size": size,
-        "width": width,
-        "candidates": candidates,
-        "scalar_seconds": scalar,
-        "vector_seconds": vector,
-        "speedup": scalar / vector,
-    }
-
-
-def bench_neighbourhood(problem, repeats: int, inner: int, rng) -> dict:
-    """One steepest-descent step: ``best_neighbor`` on both kernels."""
-    evaluator = evaluation_kernel(problem, "scalar")
-    batch = evaluation_kernel(problem, "vector")
-    size = problem.size
-    order = tuple(rng.sample(range(size), size))
-    candidates = size * (size - 1) // 2 + size * (size - 1)
-
-    base_cost = evaluator.cost(order)
-    assert evaluator.best_neighbor(order, base_cost) == batch.best_neighbor(order, base_cost)
-    scalar = best_seconds(lambda: evaluator.best_neighbor(order, base_cost), repeats, inner)
-    vector = best_seconds(lambda: batch.best_neighbor(order, base_cost), repeats, inner)
-    return {
-        "kind": "neighbours",
-        "size": size,
-        "candidates": candidates,
+        "dp_states": dp_states,
         "scalar_seconds": scalar,
         "vector_seconds": vector,
         "speedup": scalar / vector,
@@ -144,9 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep / fewer repeats; used as the CI smoke invocation",
+        help="n = 8 and 12 only, fewer repeats; used as the CI smoke invocation",
     )
-    parser.add_argument("--repeats", type=int, default=None, help="timing repeats per cell")
+    parser.add_argument("--repeats", type=int, default=None, help="timed runs per kernel per cell")
     parser.add_argument(
         "-o",
         "--output",
@@ -161,61 +97,46 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
-    plan_batches = QUICK_PLAN_BATCHES if args.quick else FULL_PLAN_BATCHES
-    beam_widths = QUICK_BEAM_WIDTHS if args.quick else FULL_BEAM_WIDTHS
-    repeats = args.repeats if args.repeats is not None else (2 if args.quick else 5)
-    inner = 1 if args.quick else 3
-    rng = random.Random(7)
+    repeats = args.repeats if args.repeats is not None else (3 if args.quick else 5)
 
     results = []
     for size in sizes:
-        problem = hard_problem(size)
-        for batch_size in plan_batches:
-            results.append(bench_plans(problem, batch_size, repeats, inner, rng))
-        for width in beam_widths:
-            results.append(bench_beam_front(problem, width, repeats, inner, rng))
-        results.append(bench_neighbourhood(problem, repeats, inner, rng))
-
-    for cell in results:
-        shape = cell.get("batch") or cell.get("width") or "-"
+        cell = bench_dp(size, repeats)
+        results.append(cell)
         print(
-            f"{cell['kind']:11s} n={cell['size']:<3d} shape={shape!s:>5s} "
-            f"candidates={cell['candidates']:<5d} "
-            f"scalar={cell['scalar_seconds'] * 1e6:9.1f}us "
-            f"vector={cell['vector_seconds'] * 1e6:9.1f}us "
+            f"dp n={size:<3d} dp_states={cell['dp_states']:<8d} "
+            f"scalar={cell['scalar_seconds'] * 1e3:9.2f}ms "
+            f"vector={cell['vector_seconds'] * 1e3:9.2f}ms "
             f"{cell['speedup']:6.2f}x"
         )
 
-    # The headline claim the committed JSON backs: beam-front and
-    # neighbourhood scoring at n >= 16 with >= 256 candidates per call.
-    headline = [
-        cell
-        for cell in results
-        if cell["kind"] in ("beam", "neighbours")
-        and cell["size"] >= 16
-        and cell["candidates"] >= 256
-    ]
+    gated = [cell for cell in results if cell["size"] >= GATE_MIN_SIZE]
+    min_gated = min(cell["speedup"] for cell in gated)
+    passed = min_gated >= GATE_SPEEDUP
     claims = {
-        "min_headline_speedup": min((c["speedup"] for c in headline), default=None),
-        "headline_cells": len(headline),
-        "threshold": 3.0,
+        "gate_min_size": GATE_MIN_SIZE,
+        "threshold": GATE_SPEEDUP,
+        "min_gated_speedup": min_gated,
+        "gated_cells": len(gated),
+        "passed": passed,
+        "auto_min_size": AUTO_MIN_SIZE,
     }
-    if headline:
-        print(
-            f"\nheadline (beam/neighbours, n>=16, >=256 candidates): "
-            f"min {claims['min_headline_speedup']:.2f}x over {len(headline)} cells"
-        )
+    print(
+        f"\ngate (whole DP runs, n>={GATE_MIN_SIZE}): min {min_gated:.2f}x over "
+        f"{len(gated)} cells, threshold {GATE_SPEEDUP}x: {'passed' if passed else 'FAILED'}"
+    )
 
     payload = {
         "benchmark": "bench_vector",
         "mode": "quick" if args.quick else "full",
+        "repeats": repeats,
         "provenance": runtime_provenance(),
         "claims": claims,
         "results": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

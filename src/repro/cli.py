@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         choices=("auto", "scalar", "vector"),
-        help="candidate-evaluation kernel: 'vector' batches whole candidate "
-        "sets through numpy (install repro[fast]), 'scalar' stays pure "
-        "Python, 'auto' picks per instance (default)",
+        help="kernel of the subset DP (--algorithm dynamic_programming): "
+        "'vector' relaxes whole DP layers through numpy (install repro[fast]), "
+        "'scalar' stays pure Python, 'auto' picks per instance (default)",
     )
 
     simulate = subparsers.add_parser("simulate", help="simulate a plan of a problem file")
@@ -117,13 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="latency budget in seconds for the optimizer portfolio",
     )
     plan.add_argument("--json", action="store_true", help="print the responses as JSON")
-    plan.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "scalar", "vector"),
-        help="candidate-evaluation kernel of the portfolio's optimizers "
-        "('vector' = numpy batch kernel, requires repro[fast])",
-    )
 
     serve_cmd = subparsers.add_parser("serve", help="run the long-running JSON/HTTP plan service")
     serve_cmd.add_argument("--host", default="127.0.0.1", help="interface to bind")
@@ -180,13 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="log requests slower than this many seconds to GET /slowlog "
         "(implies nothing by itself: combine with --observability)",
     )
+    # Only a subset-DP member reads a kernel, and the served ladder has none;
+    # the flag is still accepted so existing command lines keep working.
     serve_cmd.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "scalar", "vector"),
-        help="candidate-evaluation kernel for every optimization this "
-        "server (and its shard processes) runs "
-        "('vector' = numpy batch kernel, requires repro[fast])",
+        "--kernel", default="auto", choices=("auto", "scalar", "vector"), help=argparse.SUPPRESS
     )
 
     top = subparsers.add_parser(
@@ -346,7 +336,6 @@ def _command_plan(args: argparse.Namespace) -> int:
         budget_seconds=args.budget,
         cache_enabled=args.cached,
         stale_while_revalidate=args.cached,
-        kernel=args.kernel,
     )
     with PlanService(config) as service:
         responses = [service.submit(problem) for _ in range(args.repeat)]
@@ -363,7 +352,6 @@ def _command_plan(args: argparse.Namespace) -> int:
             print(f"plan: {' -> '.join(responses[-1].service_names)}")
             cache_stats = service.stats()["cache"]
             print(f"cache hit rate: {cache_stats['hit_rate']:.0%}")
-            print(f"kernel: {service.active_kernel()} (requested {args.kernel})")
     return 0
 
 
@@ -386,11 +374,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         slow_request_seconds=args.slow_threshold,
         kernel=args.kernel,
     )
-    from repro.core.vector import resolve_kernel
-
-    # Resolved before any shard starts: a vector kernel imports numpy here,
-    # so forked shards inherit it instead of each importing their own.
-    kernel = resolve_kernel(args.kernel if args.kernel != "auto" else None)
     if args.shards > 1:
         from repro.sharding import ShardRouter, ShardRouterConfig
 
@@ -413,15 +396,17 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"cannot bind {args.host}:{args.port}: {error.strerror or error}"
             ) from error
         host, port = front_end.address
-        print(
-            f"plan service ({topology}, {kernel} kernel) listening on "
-            f"http://{host}:{port} "
-            f"(async front end; POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
-        )
         # SIGTERM raises KeyboardInterrupt, as Ctrl-C does, so a terminated
-        # server drains its front end and closes its shards.
+        # server drains its front end and closes its shards.  The handler is
+        # in place before the banner, so a client that signals as soon as it
+        # reads the banner cannot kill the server undrained.
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
+            print(
+                f"plan service ({topology}) listening on "
+                f"http://{host}:{port} "
+                f"(async front end; POST /plan, POST /plan/batch, GET /stats, GET /metrics)"
+            )
             _wait_forever()  # the event loop serves on its own thread
         except KeyboardInterrupt:
             print("shutting down")

@@ -44,7 +44,6 @@ from repro.core.service import Service, ServiceRegistry
 from repro.core.srivastava import SrivastavaOptimizer, srivastava
 from repro.core.vector import (
     BatchEvaluator,
-    batch_evaluator,
     default_kernel,
     evaluation_kernel,
     numpy_available,
@@ -83,7 +82,6 @@ __all__ = [
     "StageCost",
     "SuccessorOrder",
     "available_algorithms",
-    "batch_evaluator",
     "beam_search",
     "bottleneck_cost",
     "bottleneck_path",

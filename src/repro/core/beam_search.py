@@ -15,17 +15,14 @@ It serves two roles in the reproduction:
 * a quality baseline whose gap to the exact optimum quantifies what the
   guarantee of the paper's algorithm is worth.
 
-The search is written once against the kernel contract
-(:func:`repro.core.vector.evaluation_kernel`).  Each level scores every
-feasible child of the whole front in one ``score_front`` call, ranks the
+Each level scores every feasible child of the whole front in one
+:meth:`~repro.core.evaluation.PlanEvaluator.score_front` call, ranks the
 children stably by ``ε``, and computes the ``ε̄`` tie-break
 (:meth:`~repro.core.evaluation.PlanEvaluator.residual_parts`) lazily — only
 for groups of children with exactly equal ``ε`` that reach the beam cut;
 only the survivors are materialized as
 :class:`~repro.core.evaluation.PrefixState` objects.  This is exactly a
-stable sort by ``(ε, ε̄)`` over generation order, and both kernels return
-bit-identical epsilons, so the scalar and vector kernels keep the same beam
-and return the same plan and statistics.
+stable sort by ``(ε, ε̄)`` over generation order.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import threading
 from repro.core.evaluation import PlanEvaluator, PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import evaluation_kernel
 from repro.exceptions import OptimizationError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
@@ -47,14 +43,11 @@ class BeamSearchOptimizer:
 
     name = "beam_search"
 
-    def __init__(
-        self, width: int = 16, use_residual_bound: bool = True, kernel: str | None = None
-    ) -> None:
+    def __init__(self, width: int = 16, use_residual_bound: bool = True) -> None:
         if width < 1:
             raise ValueError("width must be at least 1")
         self.width = width
         self.use_residual_bound = use_residual_bound
-        self.kernel = kernel
 
     def optimize(
         self, problem: OrderingProblem, stop: threading.Event | None = None
@@ -67,7 +60,6 @@ class BeamSearchOptimizer:
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
         evaluator = problem.evaluator()
-        kernel = evaluation_kernel(problem, self.kernel)
         beam: list[PrefixState] = [evaluator.root()]
         overflowed = False
 
@@ -75,7 +67,7 @@ class BeamSearchOptimizer:
             if stop is not None and stop.is_set():
                 raise SearchLimitExceededError("beam search was stopped")
             final = level + 1 == problem.size
-            parents, extensions, epsilons = kernel.score_front(beam, final)
+            parents, extensions, epsilons = evaluator.score_front(beam, final)
             total = len(parents)
             stats.nodes_expanded += total
             if not total:
@@ -85,11 +77,11 @@ class BeamSearchOptimizer:
             # A stable rank by ε keeps generation order inside equal-ε groups —
             # exactly where the (ε, ε̄) sort key consults ε̄ — so only those
             # groups (and only when they reach the cut) need the O(n²) residual.
-            ranking = kernel.rank(epsilons)
+            ranking = evaluator.rank(epsilons)
             if self.use_residual_bound and not final and total > 1:
                 self._residual_tiebreak(evaluator, beam, parents, extensions, epsilons, ranking)
             beam = [
-                beam[parents[position]].extend(int(extensions[position]))
+                beam[parents[position]].extend(extensions[position])
                 for position in ranking[: self.width]
             ]
             overflowed = overflowed or total > self.width
@@ -98,7 +90,6 @@ class BeamSearchOptimizer:
         stats.plans_evaluated = len(beam)
         stats.extra["beam_width"] = self.width
         stats.extra["beam_overflowed"] = overflowed
-        stats.extra["kernel"] = kernel.kernel_name
         stats.elapsed_seconds = stopwatch.stop()
         plan = problem.plan(best.order)
         return OptimizationResult(
@@ -129,7 +120,7 @@ class BeamSearchOptimizer:
 
         def residual(position: int) -> float:
             parent = beam[parents[position]]
-            extension = int(extensions[position])
+            extension = extensions[position]
             return evaluator.residual_parts(
                 parent.placed | (1 << extension),
                 extension,

@@ -29,13 +29,12 @@ prefixes are O(1)-extend :class:`~repro.core.evaluation.PrefixState` objects
 carrying exactly the Lemma-1 state (``ε`` and the bottleneck position), and
 ``ε̄`` comes from :meth:`~repro.core.evaluation.PlanEvaluator.residual_value`.
 The two scored successor orderings (cheapest ``ε`` term, and the best-pair
-ordering of first services) are written once against the kernel contract
-(:func:`repro.core.vector.evaluation_kernel`): one ``score_front`` call and
-a stable ``rank``.  Both kernels' ``ε`` match the from-scratch cost model
+ordering of first services) are one
+:meth:`~repro.core.evaluation.PlanEvaluator.score_front` call and a stable
+``rank``.  Every ``ε`` matches the from-scratch cost model
 (:func:`repro.core.cost_model.bottleneck_cost`) bit for bit, so the pruning
-decisions are exactly those the paper's measures prescribe, identical on
-both kernels, and the returned plan is a true optimum of the reported
-(oracle) cost.
+decisions are exactly those the paper's measures prescribe, and the returned
+plan is a true optimum of the reported (oracle) cost.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from dataclasses import dataclass, replace
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import evaluation_kernel
 from repro.exceptions import OptimizationError, SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
@@ -94,12 +92,6 @@ class BranchAndBoundOptions:
     node_limit: int | None = None
     """Abort (with :class:`SearchLimitExceededError`) after this many expanded prefixes."""
 
-    kernel: str | None = None
-    """Evaluation kernel for successor scoring: ``"scalar"``, ``"vector"`` or
-    ``"auto"`` (``None`` consults the process default).  Exploration order,
-    pruning decisions, statistics and the returned plan are identical bit for
-    bit on both kernels."""
-
     def __post_init__(self) -> None:
         if self.successor_order not in SuccessorOrder.ALL:
             raise ValueError(
@@ -143,8 +135,6 @@ class BranchAndBoundOptimizer:
         self._stop = stop
         self._problem = problem
         self._evaluator = problem.evaluator()
-        self._kernel = evaluation_kernel(problem, self.options.kernel)
-        stats.extra["kernel"] = self._kernel.kernel_name
 
         if self.options.seed_incumbent:
             self._seed_incumbent(problem)
@@ -277,8 +267,8 @@ class BranchAndBoundOptimizer:
             # Extensions arrive index-ascending, so a stable rank by ε is the
             # (ε, index) order.
             final = partial.length + 1 == self._problem.size
-            _, extensions, epsilons = self._kernel.score_front([partial], final)
-            return [int(extensions[position]) for position in self._kernel.rank(epsilons)]
+            _, extensions, epsilons = self._evaluator.score_front([partial], final)
+            return [extensions[position] for position in self._evaluator.rank(epsilons)]
         # Cheapest-transfer policy (the paper's): for the empty prefix, order
         # first services by the cost of their best pair, which realises the
         # "append the less expensive pair of WSs" start of the algorithm.
@@ -296,14 +286,14 @@ class BranchAndBoundOptimizer:
         """
         root = self._evaluator.root()
         starts = [root.extend(first) for first in candidates]
-        parents, _, epsilons = self._kernel.score_front(starts, self._problem.size == 2)
+        parents, _, epsilons = self._evaluator.score_front(starts, self._problem.size == 2)
         pair_costs = [start.epsilon for start in starts]
         paired = [False] * len(starts)
         for parent, epsilon in zip(parents, epsilons):
             if not paired[parent] or epsilon < pair_costs[parent]:
                 pair_costs[parent] = epsilon
                 paired[parent] = True
-        return [candidates[position] for position in self._kernel.rank(pair_costs)]
+        return [candidates[position] for position in self._evaluator.rank(pair_costs)]
 
     def _check_limits(self) -> None:
         node_limit = self.options.node_limit

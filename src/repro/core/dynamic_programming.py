@@ -9,8 +9,8 @@ programme runs in ``O(2^N * N^2)`` time, exponentially better than ``N!``
 enumeration, and serves as a second independent exact baseline for the
 branch-and-bound optimizer (experiments E1–E3).
 
-The programme is written once against the kernel contract
-(:func:`repro.core.vector.evaluation_kernel`).  The driver here owns the
+The programme is written once against two kernels, picked per run by
+:func:`repro.core.vector.evaluation_kernel`.  The driver here owns the
 predecessor masks, the subset selectivity products, the seed layer, the
 loop over popcount layers, the completion (``completion_terms``) and the
 plan reconstruction; the kernel's ``relax_layer`` relaxes one layer.  The
@@ -41,13 +41,6 @@ __all__ = ["DynamicProgrammingOptimizer", "dynamic_programming"]
 
 _INF = float("inf")
 
-_VECTOR_DP_MAX_SIZE = 20
-"""Largest instance the layered vector sweep takes on: it keeps dense
-``(2^n, n)`` value/parent tables, ~250 MB at n=20.  Beyond that (only
-reachable with an explicit ``max_size`` override) the lazily-allocated
-scalar sweep is the safer memory trade."""
-
-
 class DynamicProgrammingOptimizer:
     """Exact optimizer based on subset dynamic programming."""
 
@@ -77,7 +70,7 @@ class DynamicProgrammingOptimizer:
         self._check_stop(stop)
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
-        kernel = evaluation_kernel(problem, self.kernel, vector_limit=_VECTOR_DP_MAX_SIZE)
+        kernel = evaluation_kernel(problem, self.kernel)
         evaluator = problem.evaluator()
         selectivities = evaluator.selectivities
         predecessor_masks = evaluator.predecessor_masks or (0,) * size

@@ -11,11 +11,11 @@ search or branch-and-bound.  This module provides the fast path:
 * :class:`PlanEvaluator` — bound once to a problem; pre-extracts the cost,
   selectivity, transfer-row and sink-transfer arrays (plus precedence
   predecessor bitmasks) and evaluates complete plans in one tight loop with
-  no validation and no intermediate objects.  It is also the scalar
-  implementation of the kernel contract the optimizers are written against
-  (``score_front``, ``rank``, ``cost``, ``best_neighbor``, ``dp_tables`` /
-  ``relax_layer`` / ``completion_terms``); the vector implementation is
-  :class:`repro.core.vector.BatchEvaluator`.
+  no validation and no intermediate objects.  Its batch methods serve the
+  searches directly: ``score_front``/``rank`` for beam search and
+  branch-and-bound, ``best_neighbor`` for hill climbing, and ``dp_tables`` /
+  ``relax_layer`` / ``completion_terms`` for the subset DP, whose numpy
+  counterpart is :class:`repro.core.vector.BatchEvaluator`.
 * :class:`PrefixState` — an immutable, O(1)-extend prefix of a plan carrying
   the input rate, the running bottleneck maximum (``ε``) and its position,
   and the last service.  Constructive searches (greedy, beam,
@@ -94,7 +94,7 @@ class KernelProfile:
         self.delta_evaluations = 0
         """Neighborhood delta scans (:meth:`NeighborhoodEvaluator._scan`)."""
         self.batch_evaluations = 0
-        """Candidates scored through the vector kernel
+        """DP states relaxed and completed through the vector kernel
         (:class:`repro.core.vector.BatchEvaluator`) — incremented once per
         batch call by the batch size, so profiling cost stays per-call."""
         self.started = time.perf_counter()
@@ -176,14 +176,10 @@ class PlanEvaluator:
         "rows",
         "sink",
         "predecessor_masks",
-        "vector_arrays",
     )
 
     def __init__(self, problem: "OrderingProblem") -> None:
         self.problem = problem
-        self.vector_arrays = None
-        """The vector kernel's read-only numpy arrays for this problem, built
-        on first use and shared by every :class:`repro.core.vector.BatchEvaluator`."""
         self.size = problem.size
         self.costs: tuple[float, ...] = problem.costs
         self.selectivities: tuple[float, ...] = problem.selectivities
@@ -280,7 +276,7 @@ class PlanEvaluator:
         """Delta evaluation of swap/relocate moves around the complete plan ``order``."""
         return NeighborhoodEvaluator(self, tuple(order))
 
-    # -- the kernel contract (shared with repro.core.vector.BatchEvaluator) --
+    # -- batch scoring for the searches ---------------------------------------
 
     def score_front(
         self, front: Sequence["PrefixState"], final: bool
@@ -371,6 +367,8 @@ class PlanEvaluator:
                     best_cost = cost
                     best = neighborhood.relocated(i, j)
         return best, best_cost, evaluated
+
+    # -- the subset DP's scalar kernel (numpy twin: repro.core.vector) -------
 
     def dp_tables(self, products: Sequence[float]):
         """Subset-DP ``(values, parents, products)`` tables.

@@ -10,18 +10,14 @@ Both operate on complete plans and explore *swap* (exchange two positions) and
 *relocate/insert* (move one service to another position) neighbourhoods,
 rejecting neighbours that violate precedence constraints.
 
-Hill climbing is written once against the kernel contract
-(:func:`repro.core.vector.evaluation_kernel`): ``cost`` scores the start,
-then ``best_neighbor`` returns the steepest improving swap/relocate move
-until there is none.  The scalar kernel scans the moves by delta evaluation
-with the running best as the incumbent bound; the vector kernel scores the
-whole neighbourhood as one matrix.  Both enumerate swaps then relocates in
-the same order and keep the first move attaining the minimum, with
-bit-identical costs, so both walk the identical descent trajectory.
-Simulated annealing uses the scalar
+Hill climbing scores the start with
+:meth:`~repro.core.evaluation.PlanEvaluator.cost`, then takes the steepest
+improving swap/relocate move
+(:meth:`~repro.core.evaluation.PlanEvaluator.best_neighbor`, a delta
+evaluation scan with the running best as the incumbent bound) until there is
+none.  Simulated annealing uses the
 :class:`~repro.core.evaluation.NeighborhoodEvaluator` directly: its seeded
-trajectory scores one sequentially-drawn proposal at a time, which is
-exactly the shape batching cannot help.
+trajectory scores one sequentially-drawn proposal at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from dataclasses import dataclass
 from repro.core.greedy import GreedyOptimizer, GreedyStrategy
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
-from repro.core.vector import evaluation_kernel
 from repro.exceptions import SearchLimitExceededError
 from repro.utils.timing import Stopwatch
 
@@ -69,14 +64,11 @@ class HillClimbingOptimizer:
 
     name = "hill_climbing"
 
-    def __init__(
-        self, max_iterations: int = 1000, seed: int = 0, kernel: str | None = None
-    ) -> None:
+    def __init__(self, max_iterations: int = 1000, seed: int = 0) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         self.max_iterations = max_iterations
         self.seed = seed
-        self.kernel = kernel
 
     def optimize(
         self, problem: OrderingProblem, stop: threading.Event | None = None
@@ -88,22 +80,21 @@ class HillClimbingOptimizer:
         """
         stopwatch = Stopwatch().start()
         stats = SearchStatistics()
-        kernel = evaluation_kernel(problem, self.kernel)
+        evaluator = problem.evaluator()
         current = _initial_order(problem, self.seed)
-        current_cost = kernel.cost(current)
+        current_cost = evaluator.cost(current)
         stats.plans_evaluated += 1
         for _ in range(self.max_iterations):
             if stop is not None and stop.is_set():
                 raise SearchLimitExceededError("hill climbing was stopped")
             stats.nodes_expanded += 1
-            neighbour, cost, evaluated = kernel.best_neighbor(current, current_cost)
+            neighbour, cost, evaluated = evaluator.best_neighbor(current, current_cost)
             stats.plans_evaluated += evaluated
             if neighbour is None:
                 break
             current = neighbour
             current_cost = cost
             stats.incumbent_updates += 1
-        stats.extra["kernel"] = kernel.kernel_name
         stats.elapsed_seconds = stopwatch.stop()
         plan = problem.plan(current)
         return OptimizationResult(

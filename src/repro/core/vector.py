@@ -1,56 +1,45 @@
-"""The vectorized kernel (optional numpy fast path) and kernel selection.
+"""The vectorized subset-DP kernel (optional numpy fast path) and its selection.
 
-Every optimizer is written once against a small kernel contract with two
-implementations: the scalar :class:`~repro.core.evaluation.PlanEvaluator`
-(pure Python, always available) and :class:`BatchEvaluator` here, which
-scores an entire candidate *set* per call with numpy:
-
-* ``score_front(front, final)`` — every feasible one-service extension of a
-  beam front of :class:`~repro.core.evaluation.PrefixState` objects, as flat
-  ``(parents, extensions, epsilons)`` in generation order;
-* ``rank(values)`` — a stable ascending ranking of those epsilons;
-* ``cost(order)`` and ``best_neighbor(order, bound)`` — one complete plan,
-  and the steepest improving swap/relocate move around it;
-* ``dp_tables`` / ``relax_layer`` / ``completion_terms`` — one popcount
-  layer of the subset DP (here built on :meth:`BatchEvaluator.transition_terms`).
-
-:meth:`BatchEvaluator.score_orders` additionally scores a matrix of complete
-plans in a handful of array operations.
+:class:`~repro.core.dynamic_programming.DynamicProgrammingOptimizer` drives
+the subset/last-service programme through three methods of its kernel:
+``dp_tables`` allocates the value/parent tables, ``relax_layer`` relaxes one
+popcount layer, and ``completion_terms`` scores the final stage.  The scalar
+kernel is :class:`~repro.core.evaluation.PlanEvaluator` (pure Python, always
+available); :class:`BatchEvaluator` here is the vector kernel, which turns a
+whole layer into one ``states × services`` settled-term matrix
+(:meth:`BatchEvaluator.transition_terms`) and writes the next layer with
+grouped ``minimum.reduceat`` reductions.  Every other optimizer scores
+through the scalar evaluator alone: on beam search, branch-and-bound and
+hill climbing the vector kernel ran at 0.65–1.13x the speed of scalar, while
+the subset DP wins 3.8–4.8x at n = 10…16.
 
 Bit-identity with the scalar kernel
 -----------------------------------
 
 numpy's elementwise double arithmetic applies the same IEEE-754 operations
-as Python floats, one rounding per operation and no fused multiply-adds, and
-``np.cumprod`` accumulates strictly left to right — so every expression here
-keeps the scalar kernel's exact shapes (``rate * c + (rate * sigma) * t``,
-rates as a left-to-right multiplication chain) and returns *the same float,
-bit for bit*, as the scalar kernel and hence as
-:func:`repro.core.cost_model.bottleneck_cost`.  The property-based tests
-assert this with ``==``, and the optimizers return the same plans and
-search statistics on both kernels.
+as Python floats, one rounding per operation and no fused multiply-adds, so
+every expression here keeps the scalar kernel's exact shape
+(``rate * c + (rate * sigma) * t``) and returns *the same float, bit for
+bit*.  The subset selectivity products are built once, in Python, by the DP
+driver.  The property-based tests assert with ``==`` that both kernels
+return the same plan, cost and ``dp_states``.
 
-Kernel selection and thread safety
-----------------------------------
+Kernel selection
+----------------
 
 numpy is an **optional** dependency (``pip install repro[fast]``): without
-it everything runs on the scalar kernel.  :func:`evaluation_kernel` hands an
-optimizer run its kernel; it is the only code that turns a kernel name into
-a kernel.  The name is resolved by :func:`resolve_kernel` from, in order of
-precedence: an explicit per-call/per-optimizer request,
-:func:`set_default_kernel` (which also exports ``REPRO_KERNEL`` so
-optimizer-pool and shard processes inherit the choice), the
-``REPRO_KERNEL`` environment variable, and finally ``auto`` — the vector
-kernel when numpy is importable *and* the instance is big enough to win
-(``size >= AUTO_MIN_SIZE``; below that, numpy call overhead dominates and
-the scalar kernel is faster).  Requesting ``vector`` without numpy raises a
-clean :class:`~repro.exceptions.KernelError`.  numpy is imported the first
-time a kernel resolves to ``vector``, so a process that only ever scores on
-the scalar kernel never pays numpy's import time or memory.  The read-only
-arrays and the move table are built once per problem and shared; each
-optimizer run gets its own :class:`BatchEvaluator` and hence its own scratch
-workspaces, so optimizers running on several threads over one problem never
-share mutable state.
+it the DP runs on the scalar kernel.  :func:`evaluation_kernel` hands a DP
+run its kernel; it is the only code that turns a kernel name into a kernel.
+The name is resolved by :func:`resolve_kernel` from, in order of
+precedence: an explicit per-optimizer request, :func:`set_default_kernel`
+(which also exports ``REPRO_KERNEL`` so optimizer-pool and shard processes
+inherit the choice), the ``REPRO_KERNEL`` environment variable, and finally
+``auto`` — the vector kernel when numpy is importable *and* the instance
+lies in ``AUTO_MIN_SIZE`` … ``_VECTOR_DP_MAX_SIZE``.  Requesting ``vector``
+without numpy, or past ``_VECTOR_DP_MAX_SIZE``, raises a clean
+:class:`~repro.exceptions.KernelError`.  numpy is imported the first time a
+kernel resolves to ``vector``, so a process that never runs a vector DP —
+every served request, for one — never pays numpy's import time or memory.
 """
 
 from __future__ import annotations
@@ -63,15 +52,13 @@ from repro.core.evaluation import kernel_profile
 from repro.exceptions import KernelError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.evaluation import PlanEvaluator, PrefixState
+    from repro.core.evaluation import PlanEvaluator
     from repro.core.problem import OrderingProblem
 
 __all__ = [
     "KERNELS",
     "AUTO_MIN_SIZE",
-    "MAX_VECTOR_SIZE",
     "BatchEvaluator",
-    "batch_evaluator",
     "evaluation_kernel",
     "numpy_available",
     "default_kernel",
@@ -82,14 +69,17 @@ __all__ = [
 KERNELS = ("auto", "scalar", "vector")
 """Accepted kernel names: ``auto`` resolves to one of the other two."""
 
-AUTO_MIN_SIZE = 10
-"""Smallest problem size at which ``auto`` picks the vector kernel.  Below
-this the candidate sets are so small that numpy call overhead exceeds the
-loop it replaces; the crossover was measured in ``benchmarks/bench_vector.py``."""
+AUTO_MIN_SIZE = 8
+"""Smallest problem size at which ``auto`` picks the vector DP.  Whole DP
+runs on ``hard_problem`` (``benchmarks/bench_vector.py``) break even at
+n = 7 and the vector run wins from n = 8 on (1.5–1.7x at 8, 3x by 10);
+below that numpy's per-call overhead exceeds the Python loops it replaces."""
 
-MAX_VECTOR_SIZE = 62
-"""Largest problem the vector kernel accepts: placed/predecessor bitmasks
-are held in int64 arrays (the scalar kernel's Python ints are unbounded)."""
+_VECTOR_DP_MAX_SIZE = 20
+"""Largest instance the vector DP takes on: it keeps dense ``(2^n, n)``
+value/parent tables, ~250 MB at n=20.  Beyond that (only reachable with an
+explicit ``max_size`` override) ``auto`` stays on the lazily-allocated
+scalar sweep, the safer memory trade."""
 
 _ENV_VAR = "REPRO_KERNEL"
 
@@ -184,11 +174,11 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
     """Resolve a kernel request to ``"scalar"`` or ``"vector"``.
 
     ``name=None`` consults :func:`default_kernel`.  ``auto`` picks the vector
-    kernel only when numpy is available and the instance is big enough to win
-    (``size`` is the problem size; ``None`` means "assume big").  An explicit
-    ``"vector"`` request without numpy — or beyond :data:`MAX_VECTOR_SIZE` —
-    raises :class:`~repro.exceptions.KernelError` instead of silently
-    degrading.
+    kernel only when numpy is available and the instance lies in
+    :data:`AUTO_MIN_SIZE` … ``_VECTOR_DP_MAX_SIZE`` (``size`` is the problem
+    size; ``None`` means "assume in range").  An explicit ``"vector"``
+    request without numpy — or past ``_VECTOR_DP_MAX_SIZE`` — raises
+    :class:`~repro.exceptions.KernelError` instead of silently degrading.
     """
     requested = _validate(name.strip().lower()) if name is not None else default_kernel()
     if requested == "scalar":
@@ -200,40 +190,32 @@ def resolve_kernel(name: str | None = None, size: int | None = None) -> str:
                 "install the optional extra (pip install repro-service-ordering[fast]) "
                 "or select the scalar kernel"
             )
-        if size is not None and size > MAX_VECTOR_SIZE:
+        if size is not None and size > _VECTOR_DP_MAX_SIZE:
             raise KernelError(
-                f"the vector kernel supports at most {MAX_VECTOR_SIZE} services "
-                f"(int64 feasibility bitmasks), the problem has {size}"
+                f"the vector kernel supports at most {_VECTOR_DP_MAX_SIZE} services "
+                f"(dense (2^n, n) DP tables), the problem has {size}"
             )
         return "vector"
     # auto: pick whichever kernel is expected to win.
-    if size is not None and (size < AUTO_MIN_SIZE or size > MAX_VECTOR_SIZE):
+    if size is not None and not AUTO_MIN_SIZE <= size <= _VECTOR_DP_MAX_SIZE:
         return "scalar"
     return "vector" if _import_numpy() is not None else "scalar"
 
 
 def evaluation_kernel(
-    problem: "OrderingProblem", name: str | None = None, vector_limit: int = MAX_VECTOR_SIZE
+    problem: "OrderingProblem", name: str | None = None
 ) -> "PlanEvaluator | BatchEvaluator":
-    """The kernel one optimizer run scores through — the only reader of a kernel name.
+    """The kernel one DP run relaxes through — the only reader of a kernel name.
 
-    ``name`` is resolved by :func:`resolve_kernel`; a problem larger than
-    ``vector_limit`` stays on the scalar kernel (an optimizer whose vector
-    path has a tighter memory bound than :data:`MAX_VECTOR_SIZE`).  The
-    scalar kernel is the problem's cached, stateless
+    ``name`` is resolved by :func:`resolve_kernel`.  The scalar kernel is
+    the problem's cached, stateless
     :class:`~repro.core.evaluation.PlanEvaluator`; the vector kernel is a
-    fresh :class:`BatchEvaluator` — its workspaces belong to this run alone,
-    so optimizers racing on threads over one problem never share one.
+    fresh :class:`BatchEvaluator` over it.
     """
     evaluator = problem.evaluator()
-    if resolve_kernel(name, problem.size) == "vector" and problem.size <= vector_limit:
+    if resolve_kernel(name, problem.size) == "vector":
         return BatchEvaluator(evaluator)
     return evaluator
-
-
-def batch_evaluator(evaluator: "PlanEvaluator") -> "BatchEvaluator":
-    """A :class:`BatchEvaluator` over ``evaluator``'s shared arrays, with its own workspaces."""
-    return BatchEvaluator(evaluator)
 
 
 def _count_batch(amount: int) -> None:
@@ -247,79 +229,25 @@ def _count_batch(amount: int) -> None:
 # -- the batch evaluator ----------------------------------------------------
 
 
-class _SharedArrays:
-    """The read-only numpy views of one evaluator, built once per problem.
-
-    Cached on the evaluator and shared by every :class:`BatchEvaluator`
-    bound to it; nothing here is written after construction except the
-    lazily-built move table, which is published by one assignment.
-    """
-
-    __slots__ = (
-        "costs",
-        "selectivities",
-        "rows",
-        "rows_flat",
-        "sink",
-        "predecessor_masks",
-        "has_precedence",
-        "service_bits",
-        "moves",
-    )
-
-    def __init__(self, evaluator: "PlanEvaluator") -> None:
-        size = evaluator.size
-        self.costs = np.array(evaluator.costs, dtype=np.float64)
-        self.selectivities = np.array(evaluator.selectivities, dtype=np.float64)
-        self.rows = np.array(evaluator.rows, dtype=np.float64)
-        self.rows_flat = np.ascontiguousarray(self.rows).reshape(-1)
-        self.sink = np.array(evaluator.sink, dtype=np.float64)
-        self.has_precedence = evaluator.predecessor_masks is not None
-        masks = evaluator.predecessor_masks if self.has_precedence else (0,) * size
-        self.predecessor_masks = np.array(masks, dtype=np.int64)
-        self.service_bits = np.int64(1) << np.arange(size, dtype=np.int64)
-        self.moves: "np.ndarray | None" = None
-
-
-def _shared_arrays(evaluator: "PlanEvaluator") -> _SharedArrays:
-    shared = evaluator.vector_arrays
-    if shared is None:
-        shared = evaluator.vector_arrays = _SharedArrays(evaluator)
-    return shared
-
-
 class BatchEvaluator:
-    """The vector kernel: candidate-set scoring bound to one scalar evaluator.
+    """The vector subset-DP kernel, built from one scalar evaluator.
 
-    Implements the same kernel contract as
-    :class:`~repro.core.evaluation.PlanEvaluator` (``score_front``,
-    ``rank``, ``cost``, ``best_neighbor``, ``dp_tables``/``relax_layer``/
-    ``completion_terms``) with numpy array operations.  The arrays are
-    shared per problem; the scratch workspaces are this instance's own, so
-    one instance must not be used from two threads at once — which
-    :func:`evaluation_kernel` guarantees by building one per optimizer run.
-    Like the scalar evaluator it never validates: callers feed candidate
-    sets their search structure guarantees to be permutations (feasibility
-    *is* checked where the method generates the candidates itself).
-    Construction requires numpy; use :func:`resolve_kernel` first.
+    Implements the DP half of :class:`~repro.core.evaluation.PlanEvaluator`
+    (``dp_tables``/``relax_layer``/``completion_terms``) with numpy array
+    operations over read-only copies of the evaluator's arrays.  Construction
+    requires numpy; use :func:`resolve_kernel` first.
     """
 
     kernel_name = "vector"
 
     __slots__ = (
-        "evaluator",
         "size",
-        "shared",
         "costs",
         "selectivities",
         "rows",
         "sink",
         "predecessor_masks",
-        "has_precedence",
-        "_rows_flat",
         "_service_bits",
-        "_order_ws",
-        "_front_ws",
     )
 
     def __init__(self, evaluator: "PlanEvaluator") -> None:
@@ -328,253 +256,20 @@ class BatchEvaluator:
                 "the vector kernel requires numpy, which is not installed; "
                 "install the optional extra (pip install repro-service-ordering[fast])"
             )
-        if evaluator.size > MAX_VECTOR_SIZE:
+        size = evaluator.size
+        if size > _VECTOR_DP_MAX_SIZE:
             raise KernelError(
-                f"the vector kernel supports at most {MAX_VECTOR_SIZE} services "
-                f"(int64 feasibility bitmasks), the problem has {evaluator.size}"
+                f"the vector kernel supports at most {_VECTOR_DP_MAX_SIZE} services "
+                f"(dense (2^n, n) DP tables), the problem has {size}"
             )
-        shared = _shared_arrays(evaluator)
-        self.evaluator = evaluator
-        self.size = evaluator.size
-        self.shared = shared
-        self.costs = shared.costs
-        self.selectivities = shared.selectivities
-        self.rows = shared.rows
-        self.sink = shared.sink
-        self.predecessor_masks = shared.predecessor_masks
-        self.has_precedence = shared.has_precedence
-        self._rows_flat = shared.rows_flat
-        self._service_bits = shared.service_bits
-        # Single-slot workspaces: batch scoring is dominated by allocating
-        # (batch, size) temporaries (fresh pages each call), and real callers
-        # reuse one batch shape over and over — a hill climb always scores the
-        # same move count, a beam search the same front width.
-        self._order_ws: "tuple[int, tuple[np.ndarray, ...]] | None" = None
-        self._front_ws: "tuple[int, tuple[np.ndarray, ...]] | None" = None
-
-    def _order_workspace(self, batch: int) -> "tuple[np.ndarray, ...]":
-        cached = self._order_ws
-        if cached is not None and cached[0] == batch:
-            return cached[1]
-        shape = (batch, self.size)
-        arrays = (
-            np.empty(shape, dtype=np.float64),  # cost_seq
-            np.empty(shape, dtype=np.float64),  # sel_seq
-            np.empty(shape, dtype=np.float64),  # rates
-            np.empty(shape, dtype=np.float64),  # outgoing
-            np.empty((batch, max(self.size - 1, 1)), dtype=np.intp),  # flat transfer idx
-        )
-        self._order_ws = (batch, arrays)
-        return arrays
-
-    def _front_workspace(self, count: int) -> "tuple[np.ndarray, ...]":
-        cached = self._front_ws
-        if cached is not None and cached[0] == count:
-            return cached[1]
-        shape = (count, self.size)
-        arrays = (
-            np.empty(shape, dtype=np.float64),  # settled/epsilon terms
-            np.empty(shape, dtype=np.float64),  # partial terms
-            np.empty(shape, dtype=np.float64),  # rows gather
-            np.empty(shape, dtype=bool),  # feasibility
-            np.empty(shape, dtype=np.int64),  # placed-bit scratch
-        )
-        self._front_ws = (count, arrays)
-        return arrays
-
-    # -- complete-plan batches ---------------------------------------------
-
-    def score_orders(self, orders) -> "np.ndarray":
-        """Bottleneck costs of a ``(batch, size)`` matrix of complete plans.
-
-        Bit-identical, per row, to :meth:`PlanEvaluator.cost` on the same
-        order: rates come from a strictly sequential ``cumprod`` (the same
-        left-to-right multiplication chain) and terms keep the scalar
-        expression shapes.
-        """
-        orders = np.asarray(orders, dtype=np.intp)
-        if orders.ndim == 1:
-            orders = orders[None, :]
-        batch, size = orders.shape
-        _count_batch(batch)
-        # All temporaries come from a reusable workspace: search loops score
-        # the same batch shape over and over, and in-place ufuncs keep every
-        # value bit-identical to the freshly-allocated expression.
-        cost_seq, sel_seq, rates, outgoing, flat_idx = self._order_workspace(batch)
-        np.take(self.costs, orders, out=cost_seq)
-        np.take(self.selectivities, orders, out=sel_seq)
-        rates[:, 0] = 1.0
-        if size > 1:
-            np.cumprod(sel_seq[:, :-1], axis=1, out=rates[:, 1:])
-            np.multiply(orders[:, :-1], size, out=flat_idx)
-            np.add(flat_idx, orders[:, 1:], out=flat_idx)
-            np.take(self._rows_flat, flat_idx, out=outgoing[:, :-1])
-        np.take(self.sink, orders[:, -1], out=outgoing[:, -1])
-        np.multiply(rates, cost_seq, out=cost_seq)
-        np.multiply(rates, sel_seq, out=sel_seq)
-        np.multiply(sel_seq, outgoing, out=sel_seq)
-        np.add(cost_seq, sel_seq, out=cost_seq)
-        return cost_seq.max(axis=1)
-
-    def cost(self, order: Sequence[int]) -> float:
-        """Bottleneck cost of one complete plan: the scalar loop is the
-        cheaper (and bit-identical) way to score a single order."""
-        return self.evaluator.cost(order)
-
-    def feasible_orders(self, orders) -> "np.ndarray":
-        """Boolean mask: which rows of ``orders`` satisfy the precedence DAG."""
-        orders = np.asarray(orders, dtype=np.intp)
-        if orders.ndim == 1:
-            orders = orders[None, :]
-        batch, size = orders.shape
-        if not self.has_precedence:
-            return np.ones(batch, dtype=bool)
-        bits = np.int64(1) << orders.astype(np.int64)
-        placed_before = np.zeros((batch, size), dtype=np.int64)
-        if size > 1:
-            np.bitwise_or.accumulate(bits[:, :-1], axis=1, out=placed_before[:, 1:])
-        required = self.predecessor_masks[orders]
-        return ((required & ~placed_before) == 0).all(axis=1)
-
-    # -- beam fronts --------------------------------------------------------
-
-    def score_front(
-        self, front: Sequence["PrefixState"], final: bool
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Score every feasible one-service extension of a prefix front.
-
-        All states must share one length (a beam level); ``final`` says the
-        extensions complete the plan (their term then includes the sink
-        transfer).  Returns ``(parents, extensions, epsilons)`` — flat arrays
-        over the feasible children in generation order (parent-major,
-        extension index ascending), exactly the order the scalar double loop
-        produces them in.  Each epsilon is bit-identical to
-        ``front[parent].extend(extension).epsilon``.
-        """
-        # One flat-list conversion per dtype instead of one per field:
-        # gathering the front is a large share of a small front's cost.
-        count = len(front)
-        ints = np.array(
-            [state.last for state in front] + [state.placed for state in front], dtype=np.int64
-        )
-        floats = np.array(
-            [state.rate for state in front]
-            + [state.output_rate for state in front]
-            + [state.settled_max for state in front],
-            dtype=np.float64,
-        )
-        last, placed = ints.reshape(2, count)
-        rate, output_rate, settled_max = floats.reshape(3, count)
-        terms, partial, gathered, feasible, bit_scratch = self._front_workspace(count)
-
-        np.bitwise_and(placed[:, None], self._service_bits, out=bit_scratch)
-        np.equal(bit_scratch, 0, out=feasible)
-        if self.has_precedence:
-            feasible &= (self.predecessor_masks[None, :] & ~placed[:, None]) == 0
-
-        # The parent's last term settles: rate * c_last + (rate * sigma_last) * t.
-        # Every in-place ufunc keeps the scalar expression's association, so
-        # the workspace buys speed, not drift.
-        if last.min(initial=0) >= 0:
-            np.take(self.rows, last, axis=0, out=gathered)
-            np.multiply((rate * self.selectivities[last])[:, None], gathered, out=terms)
-            np.add((rate * self.costs[last])[:, None], terms, out=terms)
-            np.maximum(settled_max[:, None], terms, out=terms)
-        else:
-            # Roots have no last service: nothing settles, the running max
-            # carries.  Only the first beam level lands here; stay simple.
-            has_last = last >= 0
-            anchor = np.where(has_last, last, 0)
-            settled = (rate * self.costs[anchor])[:, None] + (
-                rate * self.selectivities[anchor]
-            )[:, None] * self.rows[anchor]
-            np.maximum(settled_max[:, None], settled, out=terms)
-            terms[~has_last] = settled_max[~has_last, None]
-
-        # The new service's partial term (full term, with sink, when final).
-        if final:
-            np.multiply(output_rate[:, None], self.selectivities[None, :], out=partial)
-            np.multiply(partial, self.sink[None, :], out=partial)
-            np.multiply(output_rate[:, None], self.costs[None, :], out=gathered)
-            np.add(gathered, partial, out=partial)
-        else:
-            np.multiply(output_rate[:, None], self.costs[None, :], out=partial)
-        np.maximum(terms, partial, out=terms)
-
-        parents, extensions = np.nonzero(feasible)
-        _count_batch(len(parents))
-        return parents, extensions, terms[parents, extensions]
-
-    @staticmethod
-    def rank(values) -> list[int]:
-        """Positions of ``values`` in ascending order, ties in input order."""
-        return np.argsort(values, kind="stable").tolist()
-
-    # -- swap/relocate neighbourhoods ---------------------------------------
-
-    def _moves(self) -> "np.ndarray":
-        """The neighbourhood's gather table, built once per problem.
-
-        Row ``m`` maps candidate positions to base positions: applying move
-        ``m`` to a base order is one fancy-indexing ``base[gather[m]]``.
-        Moves are enumerated exactly like the scalar
-        :meth:`~repro.core.evaluation.PlanEvaluator.best_neighbor`: swaps
-        ``(i, j)`` with ``i < j`` first, then relocates ``(i, j)`` with
-        ``i != j`` — so "first index attaining the minimum" means the same
-        move in both kernels.
-        """
-        moves = self.shared.moves
-        if moves is None:
-            size = self.size
-            identity = list(range(size))
-            gathers: list[list[int]] = []
-            for i in range(size):
-                for j in range(i + 1, size):
-                    row = identity.copy()
-                    row[i], row[j] = row[j], row[i]
-                    gathers.append(row)
-            for i in range(size):
-                for j in range(size):
-                    if i == j:
-                        continue
-                    row = identity.copy()
-                    row.insert(j, row.pop(i))
-                    gathers.append(row)
-            moves = self.shared.moves = np.array(gathers, dtype=np.intp)
-        return moves
-
-    def neighborhood_orders(self, order: Sequence[int]) -> "np.ndarray":
-        """All swap/relocate candidates of ``order`` as a ``(moves, size)`` matrix."""
-        base = np.asarray(order, dtype=np.intp)
-        return base[self._moves()]
-
-    def best_neighbor(
-        self, order: Sequence[int], bound: float
-    ) -> tuple[tuple[int, ...] | None, float, int]:
-        """The steepest feasible move from ``order``, if any beats ``bound``.
-
-        Returns ``(best order or None, its cost, feasible-move count)``.
-        Matches the scalar hill-climbing step bit for bit: same enumeration
-        order, same costs, and ties broken towards the first move attaining
-        the minimum (``argmin`` returns the first occurrence, the scalar loop
-        only replaces on strict improvement).
-        """
-        if self.size < 2:
-            return None, bound, 0
-        candidates = self.neighborhood_orders(order)
-        feasible = self.feasible_orders(candidates)
-        evaluated = int(feasible.sum())
-        if not evaluated:
-            return None, bound, 0
-        costs = self.score_orders(candidates)
-        costs[~feasible] = np.inf
-        winner = int(costs.argmin())
-        best_cost = float(costs[winner])
-        if not best_cost < bound:
-            return None, bound, evaluated
-        return tuple(int(index) for index in candidates[winner]), best_cost, evaluated
-
-    # -- dynamic-programming layers ------------------------------------------
+        self.size = size
+        self.costs = np.array(evaluator.costs, dtype=np.float64)
+        self.selectivities = np.array(evaluator.selectivities, dtype=np.float64)
+        self.rows = np.array(evaluator.rows, dtype=np.float64)
+        self.sink = np.array(evaluator.sink, dtype=np.float64)
+        masks = evaluator.predecessor_masks or (0,) * size
+        self.predecessor_masks = np.array(masks, dtype=np.int64)
+        self._service_bits = np.int64(1) << np.arange(size, dtype=np.int64)
 
     def transition_terms(self, rates_before, lasts) -> "np.ndarray":
         """Settled-term matrix of a batch of ``(mask, last)`` DP states.

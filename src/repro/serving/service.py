@@ -49,14 +49,13 @@ import asyncio
 import concurrent.futures
 import contextlib
 import contextvars
-import logging
 import threading
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Mapping, Sequence
 
 from repro.core.evaluation import enable_kernel_profiling, kernel_profile
 from repro.core.problem import OrderingProblem
-from repro.core.vector import KERNELS, numpy_available, resolve_kernel, set_default_kernel
+from repro.core.vector import KERNELS, set_default_kernel
 from repro.exceptions import (
     AdmissionError,
     InvalidPlanError,
@@ -75,8 +74,6 @@ from repro.serving.portfolio import DEFAULT_PORTFOLIO, PortfolioOptimizer, Portf
 from repro.utils.timing import Stopwatch
 
 __all__ = ["PlanServiceConfig", "PlanResponse", "PlanService"]
-
-_log = logging.getLogger("repro.serving")
 
 REVALIDATION_WORKERS = 2
 """Threads refreshing stale/drifted cache entries in the background; each
@@ -146,13 +143,14 @@ class PlanServiceConfig:
     :attr:`observability`; ``None`` disables the log)."""
 
     kernel: str = "auto"
-    """Evaluation kernel the optimizers score candidates with: ``"vector"``
-    (numpy batch kernel, requires the ``fast`` extra), ``"scalar"`` (pure
-    Python), or ``"auto"`` (vector when numpy is available and the instance
-    is large enough to win).  A non-``auto`` choice is installed process-wide
-    (and exported via ``REPRO_KERNEL``), so portfolio members, pool workers
-    and process shards inherit it transparently; ``auto`` leaves any existing
-    process-wide setting alone."""
+    """Kernel of a subset-DP member (:mod:`repro.core.vector`): ``"vector"``
+    (numpy, requires the ``fast`` extra), ``"scalar"`` (pure Python), or
+    ``"auto"`` (vector when numpy is available and the instance is in its
+    winning range).  Every other optimizer has one kernel, so this matters
+    only when :attr:`algorithms` names ``dynamic_programming``.  A
+    non-``auto`` choice is installed process-wide (and exported via
+    ``REPRO_KERNEL``), so pool workers and process shards inherit it;
+    ``auto`` leaves any existing process-wide setting alone."""
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
@@ -242,21 +240,9 @@ class PlanService:
         )
         self._kernel_seen: dict[str, int] = {}
         if self.config.kernel != "auto":
-            # Install the explicit choice process-wide so portfolio members,
-            # pool workers and process shards all score on the same kernel.
+            # Install the explicit choice process-wide so pool workers and
+            # process shards run a DP member on the same kernel.
             set_default_kernel(self.config.kernel)
-        self._kernel_gauge = self.obs.registry.gauge(
-            "repro_kernel_active",
-            "1 for the kernel large-instance optimizations currently resolve "
-            "to (auto resolution accounts for numpy availability).",
-            labelnames=("kernel",),
-        )
-        _log.info(
-            "plan service evaluation kernel: %s (requested %r, numpy %s)",
-            self.active_kernel(),
-            self.config.kernel,
-            "available" if numpy_available() else "not installed",
-        )
         self.obs.registry.register_callback(self._refresh_gauges)
         if self.config.observability:
             enable_kernel_profiling()
@@ -373,26 +359,12 @@ class PlanService:
             warmed += 1
         return warmed
 
-    def active_kernel(self) -> str:
-        """The kernel a large-instance optimization currently resolves to.
-
-        Small instances may still resolve to ``scalar`` under ``auto`` (the
-        vector kernel only wins past :data:`repro.core.vector.AUTO_MIN_SIZE`).
-        """
-        kernel = self.config.kernel if self.config.kernel != "auto" else None
-        return resolve_kernel(kernel)
-
     def stats(self) -> dict[str, object]:
         """A JSON-ready snapshot of cache, request and admission statistics."""
         with self._pending_lock:
             pending = self._pending
         profile = kernel_profile()
-        kernel = {
-            "profiling": profile is not None,
-            "requested": self.config.kernel,
-            "active": self.active_kernel(),
-            "numpy": numpy_available(),
-        }
+        kernel: dict[str, object] = {"profiling": profile is not None}
         if profile is not None:
             kernel.update(profile.snapshot())
         return {
@@ -427,9 +399,6 @@ class PlanService:
             pending = self._pending
         self._pending_gauge.set(pending)
         self._cache_gauge.set(len(self.cache))
-        active = self.active_kernel()
-        for name in ("scalar", "vector"):
-            self._kernel_gauge.set(1.0 if name == active else 0.0, kernel=name)
         profile = kernel_profile()
         if profile is not None:
             for kind, value in profile.counts().items():

@@ -13,12 +13,7 @@ from repro.core import (
     branch_and_bound,
     exhaustive_search,
 )
-from repro.core.vector import numpy_available
 from repro.exceptions import OptimizationError, SearchLimitExceededError
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the vector kernel requires numpy"
-)
 
 
 class TestOptions:
@@ -199,71 +194,3 @@ class TestStatisticsAndLimits:
         result = branch_and_bound(four_service_problem, use_lemma3=False)
         assert result.optimal
 
-
-class TestVectorKernelParity:
-    """The batch successor scoring must be indistinguishable from the scalar path."""
-
-    @staticmethod
-    def _run(problem, kernel, **overrides):
-        options = BranchAndBoundOptions(kernel=kernel, **overrides)
-        return BranchAndBoundOptimizer(options).optimize(problem)
-
-    @staticmethod
-    def _assert_identical(scalar, vector):
-        assert vector.plan.order == scalar.plan.order
-        assert vector.cost == scalar.cost  # exact ==, not approx
-        s, v = scalar.statistics, vector.statistics
-        # Identical exploration order means identical pruning, node for node.
-        assert v.nodes_expanded == s.nodes_expanded
-        assert v.pruned_by_bound == s.pruned_by_bound
-        assert v.lemma2_closures == s.lemma2_closures
-        assert v.lemma3_prunes == s.lemma3_prunes
-        assert v.plans_evaluated == s.plans_evaluated
-        assert v.incumbent_updates == s.incumbent_updates
-        assert s.extra["kernel"] == "scalar" and v.extra["kernel"] == "vector"
-
-    @needs_numpy
-    def test_cheapest_transfer_parity(self, make_random_problem):
-        for seed in range(6):
-            problem = make_random_problem(9, seed)
-            self._assert_identical(
-                self._run(problem, "scalar"), self._run(problem, "vector")
-            )
-
-    @needs_numpy
-    def test_cheapest_term_parity(self, make_random_problem):
-        for seed in range(6):
-            problem = make_random_problem(8, seed)
-            self._assert_identical(
-                self._run(
-                    problem,
-                    "scalar",
-                    successor_order=SuccessorOrder.CHEAPEST_TERM,
-                    use_lemma3=False,
-                ),
-                self._run(
-                    problem,
-                    "vector",
-                    successor_order=SuccessorOrder.CHEAPEST_TERM,
-                    use_lemma3=False,
-                ),
-            )
-
-    @needs_numpy
-    def test_parity_under_precedence_constraints(self, constrained_problem):
-        self._assert_identical(
-            self._run(constrained_problem, "scalar"),
-            self._run(constrained_problem, "vector"),
-        )
-
-    @needs_numpy
-    def test_vector_kernel_still_optimal(self, make_random_problem):
-        problem = make_random_problem(7, 3)
-        best = exhaustive_search(problem)
-        result = self._run(problem, "vector")
-        assert result.optimal
-        assert result.cost == pytest.approx(best.cost)
-
-    def test_kernel_recorded_in_statistics(self, four_service_problem):
-        result = branch_and_bound(four_service_problem, kernel="scalar")
-        assert result.statistics.extra["kernel"] == "scalar"

@@ -1,10 +1,10 @@
 """Golden search statistics of the scalar kernel, pinned to committed values.
 
-The cross-kernel parity tests compare the scalar and vector kernels with each
-other, so a change that moved both the same way would pass them.  This test
-pins the scalar kernel's plans, costs, ``optimal`` flags and every search
-counter on fixed generated instances, so refactoring an optimizer cannot
-silently change its search.
+The subset DP's cross-kernel parity test compares the scalar and vector
+kernels with each other, so a change that moved both the same way would pass
+it.  This test pins every search's plans, costs, ``optimal`` flags and search
+counters on the scalar kernel, on fixed generated instances, so refactoring
+an optimizer cannot silently change its search.
 
 Regenerate the golden file (only for an intended behaviour change) with::
 
@@ -51,23 +51,19 @@ FAMILIES = {
 
 OPTIMIZERS = {
     "greedy_min_term": lambda: GreedyOptimizer(GreedyStrategy.MIN_TERM),
-    "beam_w1_residual": lambda: BeamSearchOptimizer(1, True, kernel="scalar"),
-    "beam_w1_plain": lambda: BeamSearchOptimizer(1, False, kernel="scalar"),
-    "beam_w16_residual": lambda: BeamSearchOptimizer(16, True, kernel="scalar"),
-    "beam_w16_plain": lambda: BeamSearchOptimizer(16, False, kernel="scalar"),
-    "hill_climbing": lambda: HillClimbingOptimizer(kernel="scalar"),
+    "beam_w1_residual": lambda: BeamSearchOptimizer(1, True),
+    "beam_w1_plain": lambda: BeamSearchOptimizer(1, False),
+    "beam_w16_residual": lambda: BeamSearchOptimizer(16, True),
+    "beam_w16_plain": lambda: BeamSearchOptimizer(16, False),
+    "hill_climbing": lambda: HillClimbingOptimizer(),
     "bnb_cheapest_transfer": lambda: BranchAndBoundOptimizer(
-        BranchAndBoundOptions(successor_order=SuccessorOrder.CHEAPEST_TRANSFER, kernel="scalar")
+        BranchAndBoundOptions(successor_order=SuccessorOrder.CHEAPEST_TRANSFER)
     ),
     "bnb_cheapest_term": lambda: BranchAndBoundOptimizer(
-        BranchAndBoundOptions(
-            successor_order=SuccessorOrder.CHEAPEST_TERM, use_lemma3=False, kernel="scalar"
-        )
+        BranchAndBoundOptions(successor_order=SuccessorOrder.CHEAPEST_TERM, use_lemma3=False)
     ),
     "bnb_index": lambda: BranchAndBoundOptimizer(
-        BranchAndBoundOptions(
-            successor_order=SuccessorOrder.INDEX, use_lemma3=False, kernel="scalar"
-        )
+        BranchAndBoundOptions(successor_order=SuccessorOrder.INDEX, use_lemma3=False)
     ),
     "dynamic_programming": lambda: DynamicProgrammingOptimizer(kernel="scalar"),
 }

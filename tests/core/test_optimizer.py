@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import available_algorithms, compare, optimize
 from repro.core.optimizer import ALGORITHMS
-from repro.core.vector import evaluation_kernel
 from repro.exceptions import OptimizationError, SearchLimitExceededError
 
 # Instances and options on which each search, left alone, runs for seconds
@@ -100,7 +99,7 @@ class TestStopSignal:
     def test_a_set_signal_ends_every_search_at_once(self, algorithm, make_resistant_problem):
         size, options = _LONG_RUNS.get(algorithm, (24, {}))
         problem = make_resistant_problem(size)
-        evaluation_kernel(problem)  # time the search, not the kernel build
+        problem.evaluator()  # time the search, not the evaluator build
         stop = threading.Event()
         stop.set()
         started = time.perf_counter()

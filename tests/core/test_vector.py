@@ -1,55 +1,41 @@
-"""Property-based tests for the vectorized batch-evaluation kernel.
+"""Property-based tests for the vectorized subset-DP kernel.
 
 The vector kernel (:mod:`repro.core.vector`) promises *bit-identical*
-agreement with the scalar kernel — and hence with the from-scratch cost
-model: every cost assertion below uses ``==``, never approx.  Problems are
-drawn with and without sink transfers, with and without precedence
-constraints (so infeasible-candidate masking is exercised), and with
-proliferative (sigma > 1) services.
+agreement with the scalar kernel: the subset DP returns the same plan, the
+same cost (asserted with ``==``, never approx) and the same ``dp_states`` on
+both.  Problems are drawn with and without sink transfers, with and without
+precedence constraints, and with proliferative (sigma > 1) services.
 
 numpy is optional: the numpy-dependent tests skip cleanly when it is absent,
 and the fallback tests run the library in a subprocess with the numpy import
-*blocked*, proving the scalar path stays fully functional without it.
-"""
+*blocked*, proving the scalar path stays fully functional without it."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import subprocess
 import sys
 import textwrap
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OrderingProblem, PrecedenceGraph
-from repro.core.beam_search import BeamSearchOptimizer
-from repro.core.branch_and_bound import (
-    BranchAndBoundOptimizer,
-    BranchAndBoundOptions,
-    SuccessorOrder,
-)
-from repro.core.cost_model import bottleneck_cost
 from repro.core.dynamic_programming import DynamicProgrammingOptimizer
 from repro.core.evaluation import (
     disable_kernel_profiling,
     enable_kernel_profiling,
 )
-from repro.core.local_search import HillClimbingOptimizer
 from repro.core.vector import (
+    _VECTOR_DP_MAX_SIZE,
     AUTO_MIN_SIZE,
-    MAX_VECTOR_SIZE,
-    batch_evaluator,
     default_kernel,
     numpy_available,
     resolve_kernel,
     set_default_kernel,
 )
 from repro.exceptions import KernelError
-from repro.workloads import WorkloadSpec, generate_problem
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the vector kernel requires numpy"
@@ -96,162 +82,7 @@ def problems(
     )
 
 
-@st.composite
-def problem_and_orders(draw, count: int = 8, **kwargs):
-    problem = draw(problems(**kwargs))
-    orders = [
-        tuple(draw(st.permutations(range(problem.size)))) for _ in range(count)
-    ]
-    return problem, orders
-
-
-def _feasible_scalar(problem: OrderingProblem, order) -> bool:
-    masks = problem.evaluator().predecessor_masks
-    if masks is None:
-        return True
-    placed = 0
-    for service in order:
-        if masks[service] & ~placed:
-            return False
-        placed |= 1 << service
-    return True
-
-
-# -- batched complete-plan scoring -------------------------------------------------
-
-
-@needs_numpy
-@settings(max_examples=100, deadline=None)
-@given(problem_and_orders())
-def test_score_orders_bit_identical_to_oracle(case):
-    problem, orders = case
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
-    scores = batch.score_orders(orders)
-    for order, score in zip(orders, scores):
-        oracle = bottleneck_cost(
-            problem.costs, problem.selectivities, problem.transfer, order, problem.sink_transfer
-        )
-        assert score == oracle
-        assert score == evaluator.cost(order)
-
-
-@needs_numpy
-@settings(max_examples=100, deadline=None)
-@given(problem_and_orders())
-def test_feasibility_mask_matches_scalar_precedence_walk(case):
-    problem, orders = case
-    batch = batch_evaluator(problem.evaluator())
-    mask = batch.feasible_orders(orders)
-    for order, flag in zip(orders, mask):
-        assert bool(flag) == _feasible_scalar(problem, order)
-
-
-# -- beam fronts --------------------------------------------------------------------
-
-
-@needs_numpy
-@settings(max_examples=80, deadline=None)
-@given(problems())
-def test_score_front_matches_prefix_extension_bit_for_bit(problem):
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
-    front = [evaluator.root()]
-    for level in range(problem.size):
-        final = level + 1 == problem.size
-        parents, extensions, epsilons = batch.score_front(front, final)
-        reference = [
-            (parent_index, successor, state.extend(successor).epsilon)
-            for parent_index, state in enumerate(front)
-            for successor in state.allowed_extensions()
-        ]
-        produced = list(zip(parents.tolist(), extensions.tolist(), epsilons.tolist()))
-        # Same feasible children, in the same generation order, same epsilons.
-        assert [(p, e) for p, e, _ in produced] == [(p, e) for p, e, _ in reference]
-        for (_, _, vector_eps), (_, _, scalar_eps) in zip(produced, reference):
-            assert vector_eps == scalar_eps
-        front = [front[p].extend(e) for p, e, _ in produced[:4]]
-
-
-# -- neighbourhoods -----------------------------------------------------------------
-
-
-@needs_numpy
-@settings(max_examples=80, deadline=None)
-@given(problems())
-def test_best_neighbor_matches_scalar_steepest_descent_step(problem):
-    evaluator = problem.evaluator()
-    batch = batch_evaluator(evaluator)
-    state = evaluator.root()
-    while not state.is_complete:
-        state = state.extend(state.allowed_extensions()[0])
-    base = state.order
-    neighborhood = evaluator.neighborhood(base)
-    size = problem.size
-
-    best_cost = neighborhood.cost
-    best_order = None
-    evaluated = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            if not neighborhood.swap_feasible(i, j):
-                continue
-            evaluated += 1
-            cost = neighborhood.swap_cost(i, j, best_cost)
-            if cost < best_cost:
-                best_cost = cost
-                best_order = neighborhood.swapped(i, j)
-    for i in range(size):
-        for j in range(size):
-            if i == j or not neighborhood.relocate_feasible(i, j):
-                continue
-            evaluated += 1
-            cost = neighborhood.relocate_cost(i, j, best_cost)
-            if cost < best_cost:
-                best_cost = cost
-                best_order = neighborhood.relocated(i, j)
-
-    vector_order, vector_cost, vector_evaluated = batch.best_neighbor(base, neighborhood.cost)
-    assert vector_evaluated == evaluated
-    if best_order is None:
-        assert vector_order is None
-        assert vector_cost == neighborhood.cost
-    else:
-        assert vector_order == best_order
-        assert vector_cost == best_cost
-
-
 # -- optimizer parity ---------------------------------------------------------------
-
-
-@needs_numpy
-@settings(max_examples=40, deadline=None)
-@given(problems(), st.sampled_from([1, 3, 16]), st.booleans())
-def test_beam_search_kernels_agree_bit_for_bit(problem, width, use_residual):
-    scalar = BeamSearchOptimizer(
-        width=width, use_residual_bound=use_residual, kernel="scalar"
-    ).optimize(problem)
-    vector = BeamSearchOptimizer(
-        width=width, use_residual_bound=use_residual, kernel="vector"
-    ).optimize(problem)
-    assert vector.cost == scalar.cost
-    assert vector.plan.order == scalar.plan.order
-    assert vector.optimal == scalar.optimal
-    assert vector.statistics.nodes_expanded == scalar.statistics.nodes_expanded
-    assert scalar.statistics.extra["kernel"] == "scalar"
-    assert vector.statistics.extra["kernel"] == "vector"
-
-
-@needs_numpy
-@settings(max_examples=40, deadline=None)
-@given(problems())
-def test_hill_climbing_kernels_walk_identical_trajectories(problem):
-    scalar = HillClimbingOptimizer(kernel="scalar").optimize(problem)
-    vector = HillClimbingOptimizer(kernel="vector").optimize(problem)
-    assert vector.cost == scalar.cost
-    assert vector.plan.order == scalar.plan.order
-    assert vector.statistics.plans_evaluated == scalar.statistics.plans_evaluated
-    assert vector.statistics.incumbent_updates == scalar.statistics.incumbent_updates
 
 
 @needs_numpy
@@ -263,51 +94,6 @@ def test_dynamic_programming_kernels_agree_including_dp_states(problem):
     assert vector.cost == scalar.cost
     assert vector.plan.order == scalar.plan.order
     assert vector.statistics.extra["dp_states"] == scalar.statistics.extra["dp_states"]
-
-
-# -- thread safety ------------------------------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize("size", [12, 16])
-def test_racing_vector_optimizers_on_one_problem_stay_exact(size):
-    """Portfolio members racing on threads over one problem must not share
-    mutable kernel state: every vector beam plan equals the scalar one."""
-    problem = generate_problem(WorkloadSpec(service_count=size), seed=size)
-    expected = BeamSearchOptimizer(kernel="scalar").optimize(problem).plan.order
-    exact_options = BranchAndBoundOptions(
-        successor_order=SuccessorOrder.CHEAPEST_TERM, use_lemma3=False, kernel="vector"
-    )
-    errors: list[BaseException] = []
-    beam_orders = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, inside the numpy call sequences
-    try:
-        with concurrent.futures.ThreadPoolExecutor(4) as pool:
-            for _ in range(20):
-                start = threading.Barrier(4, timeout=30)
-
-                def beam():
-                    start.wait()
-                    return BeamSearchOptimizer(kernel="vector").optimize(problem).plan.order
-
-                def exact():
-                    start.wait()
-                    return BranchAndBoundOptimizer(exact_options).optimize(problem).plan.order
-
-                futures = [pool.submit(beam) for _ in range(3)] + [pool.submit(exact)]
-                for index, future in enumerate(futures):
-                    try:
-                        order = future.result(timeout=60)
-                    except Exception as error:  # noqa: BLE001 - collected and asserted below
-                        errors.append(error)
-                        continue
-                    if index < 3:
-                        beam_orders.append(order)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
-    assert beam_orders == [expected] * len(beam_orders)
 
 
 # -- kernel selection ---------------------------------------------------------------
@@ -345,40 +131,39 @@ def test_set_default_kernel_exports_env_for_worker_processes():
 def test_auto_resolution_is_size_aware():
     assert resolve_kernel("auto", size=AUTO_MIN_SIZE - 1) == "scalar"
     assert resolve_kernel("auto", size=AUTO_MIN_SIZE) == "vector"
-    assert resolve_kernel("auto", size=MAX_VECTOR_SIZE + 1) == "scalar"
+    assert resolve_kernel("auto", size=_VECTOR_DP_MAX_SIZE) == "vector"
+    assert resolve_kernel("auto", size=_VECTOR_DP_MAX_SIZE + 1) == "scalar"
     assert resolve_kernel("auto") == "vector"
 
 
 @needs_numpy
 def test_explicit_vector_rejects_oversized_problems():
     with pytest.raises(KernelError, match="at most"):
-        resolve_kernel("vector", size=MAX_VECTOR_SIZE + 1)
+        resolve_kernel("vector", size=_VECTOR_DP_MAX_SIZE + 1)
 
 
 # -- profiling ----------------------------------------------------------------------
 
 
 @needs_numpy
-def test_batch_profiling_counts_candidates_not_calls():
+def test_batch_profiling_counts_dp_states_not_calls():
     problem = OrderingProblem.from_parameters(
         [1.0, 2.0, 3.0, 4.0],
         [0.5, 0.8, 1.2, 0.7],
         [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
     )
-    batch = batch_evaluator(problem.evaluator())
     disable_kernel_profiling()
     profile = enable_kernel_profiling()
     try:
-        orders = [(0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)]
-        batch.score_orders(orders)
-        assert profile.batch_evaluations == len(orders)
-        assert profile.counts()["batch"] == len(orders)
+        result = DynamicProgrammingOptimizer(kernel="vector").optimize(problem)
+        # Every reached state below the full mask is relaxed once and the
+        # full mask's lasts are completed once: dp_states in all, counted in
+        # size calls (size - 1 layers and one completion) by whole batches.
+        dp_states = result.statistics.extra["dp_states"]
+        assert dp_states > problem.size
+        assert profile.batch_evaluations == dp_states
+        assert profile.counts()["batch"] == dp_states
         assert "batch_evaluations" in profile.snapshot()
-        before = profile.batch_evaluations
-        batch.best_neighbor((0, 1, 2, 3), float("inf"))
-        # One neighbourhood = one feasibility batch + one scoring batch; the
-        # counter advanced by whole batch sizes, not by ones.
-        assert profile.batch_evaluations - before >= 12
     finally:
         disable_kernel_profiling()
 
@@ -430,22 +215,17 @@ def test_without_numpy_auto_falls_back_to_scalar():
     )
 
 
-def test_without_numpy_optimizers_still_work_and_report_scalar():
+def test_without_numpy_dynamic_programming_still_works_and_reports_scalar():
     _run_without_numpy(
         """
-        from repro.core.beam_search import BeamSearchOptimizer
         from repro.core.dynamic_programming import DynamicProgrammingOptimizer
-        from repro.core.local_search import HillClimbingOptimizer
-        from repro.workloads import credit_card_screening
+        from repro.core.vector import AUTO_MIN_SIZE
+        from repro.workloads import hard_problem
 
-        problem = credit_card_screening()
-        for optimizer in (
-            BeamSearchOptimizer(kernel=None),
-            HillClimbingOptimizer(),
-            DynamicProgrammingOptimizer(),
-        ):
-            result = optimizer.optimize(problem)
-            assert result.statistics.extra["kernel"] == "scalar"
+        # In auto's vector range, so only the missing numpy keeps it scalar.
+        result = DynamicProgrammingOptimizer().optimize(hard_problem(AUTO_MIN_SIZE))
+        assert result.optimal
+        assert result.statistics.extra["kernel"] == "scalar"
         """
     )
 
@@ -453,7 +233,7 @@ def test_without_numpy_optimizers_still_work_and_report_scalar():
 def test_without_numpy_explicit_vector_request_raises_kernel_error():
     _run_without_numpy(
         """
-        from repro.core.local_search import HillClimbingOptimizer
+        from repro.core.dynamic_programming import DynamicProgrammingOptimizer
         from repro.core.vector import resolve_kernel
         from repro.exceptions import KernelError
         from repro.workloads import credit_card_screening
@@ -466,7 +246,7 @@ def test_without_numpy_explicit_vector_request_raises_kernel_error():
             raise AssertionError("explicit vector request must fail without numpy")
 
         try:
-            HillClimbingOptimizer(kernel="vector").optimize(credit_card_screening())
+            DynamicProgrammingOptimizer(kernel="vector").optimize(credit_card_screening())
         except KernelError:
             pass
         else:
@@ -487,13 +267,34 @@ def test_numpy_is_imported_only_when_a_kernel_resolves_to_vector():
 
             with PlanService(PlanServiceConfig(kernel="scalar", budget_seconds=None)) as service:
                 service.submit(credit_card_screening())
-                assert service.stats()["kernel"]["numpy"] is True
             assert "numpy" not in sys.modules, "a scalar-only service loaded numpy"
 
             from repro.core.vector import resolve_kernel
 
-            assert resolve_kernel("auto", size=24) == "vector"
+            assert resolve_kernel("auto", size=16) == "vector"
             assert "numpy" in sys.modules
+            """
+        )
+    )
+
+
+def test_served_path_never_imports_numpy():
+    """A default-config service answers cold misses at n = 8…24 on the
+    scalar kernel alone: no served search reads a kernel."""
+    _run_fresh(
+        textwrap.dedent(
+            """
+            import sys
+
+            from repro.serving import PlanService
+            from repro.workloads import WorkloadSpec, generate_problem
+
+            with PlanService() as service:
+                for size in (8, 12, 16, 20, 24):
+                    problem = generate_problem(WorkloadSpec(service_count=size), seed=size)
+                    response = service.submit(problem)
+                    assert not response.cache_hit
+            assert "numpy" not in sys.modules, "the served path loaded numpy"
             """
         )
     )

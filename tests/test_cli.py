@@ -58,6 +58,11 @@ class TestOptimize:
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "greedy_cheapest_cost"
 
+    def test_unknown_kernel_rejected_by_argparse(self, problem_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["optimize", problem_file, "--kernel", "simd"])
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["optimize", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
@@ -105,21 +110,6 @@ class TestPlan:
     def test_invalid_repeat_rejected(self, problem_file, capsys):
         assert main(["plan", problem_file, "--repeat", "0"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_kernel_knob_is_reported(self, problem_file, capsys):
-        from repro.core.vector import set_default_kernel
-
-        try:
-            assert main(["plan", problem_file, "--kernel", "scalar"]) == 0
-            output = capsys.readouterr().out
-            assert "kernel: scalar (requested scalar)" in output
-        finally:
-            set_default_kernel(None)
-
-    def test_unknown_kernel_rejected_by_argparse(self, problem_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["plan", problem_file, "--kernel", "simd"])
-        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestServe:
@@ -191,6 +181,23 @@ class TestServe:
         output = capsys.readouterr().out
         assert "async front end" in output
         assert "shutting down" in output
+
+    def test_serve_still_accepts_the_hidden_kernel_flag(self, capsys, monkeypatch):
+        import repro.cli as cli_module
+        from repro.core.vector import set_default_kernel
+
+        # ``--kernel`` now selects only a subset-DP member's kernel; it stays
+        # accepted so command lines that pass it keep working.
+        def fake_wait():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "_wait_forever", fake_wait)
+        try:
+            assert main(["serve", "--port", "0", "--budget", "0.2", "--kernel", "scalar"]) == 0
+        finally:
+            set_default_kernel(None)
+        output = capsys.readouterr().out
+        assert "plan service (1 service) listening on http://" in output
 
 
 def _descendants(root: int) -> set[int]:
