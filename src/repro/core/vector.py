@@ -11,7 +11,8 @@ whole layer into one ``states × services`` settled-term matrix
 grouped ``minimum.reduceat`` reductions.  Every other optimizer scores
 through the scalar evaluator alone: on beam search, branch-and-bound and
 hill climbing the vector kernel ran at 0.65–1.13x the speed of scalar, while
-the subset DP wins 3.8–4.8x at n = 10…16.
+whole vector DP runs are 3.1–4.5x faster at n = 10…16
+(``benchmarks/BENCH_vector.json``).
 
 Bit-identity with the scalar kernel
 -----------------------------------
@@ -71,9 +72,10 @@ KERNELS = ("auto", "scalar", "vector")
 
 AUTO_MIN_SIZE = 8
 """Smallest problem size at which ``auto`` picks the vector DP.  Whole DP
-runs on ``hard_problem`` (``benchmarks/bench_vector.py``) break even at
-n = 7 and the vector run wins from n = 8 on (1.5–1.7x at 8, 3x by 10);
-below that numpy's per-call overhead exceeds the Python loops it replaces."""
+runs on ``hard_problem`` (``benchmarks/bench_vector.py``) break even near
+n = 7 (0.89–1.18x over repeated runs) and the vector run wins from n = 8 on
+(1.4–1.8x at 8, 3.1x and more from 10); below that numpy's per-call
+overhead exceeds the Python loops it replaces."""
 
 _VECTOR_DP_MAX_SIZE = 20
 """Largest instance the vector DP takes on: it keeps dense ``(2^n, n)``
