@@ -13,6 +13,7 @@ from repro.core import (
     branch_and_bound,
     exhaustive_search,
 )
+from repro.core.dynamic_programming import DynamicProgrammingOptimizer
 from repro.exceptions import OptimizationError, SearchLimitExceededError
 
 
@@ -194,3 +195,29 @@ class TestStatisticsAndLimits:
         result = branch_and_bound(four_service_problem, use_lemma3=False)
         assert result.optimal
 
+
+class TestAgreesWithDynamicProgramming:
+    """Branch-and-bound and the subset DP are independent exact searches."""
+
+    @staticmethod
+    def _assert_same_optimum(problem, **overrides):
+        result = BranchAndBoundOptimizer(BranchAndBoundOptions(**overrides)).optimize(problem)
+        exact = DynamicProgrammingOptimizer(kernel="scalar").optimize(problem)
+        assert result.optimal
+        assert result.cost == pytest.approx(exact.cost)
+        problem.validate_plan(result.plan.order)
+
+    def test_cheapest_transfer_finds_the_dp_optimum(self, make_random_problem):
+        for seed in range(6):
+            self._assert_same_optimum(make_random_problem(9, seed))
+
+    def test_cheapest_term_finds_the_dp_optimum(self, make_random_problem):
+        for seed in range(6):
+            self._assert_same_optimum(
+                make_random_problem(8, seed),
+                successor_order=SuccessorOrder.CHEAPEST_TERM,
+                use_lemma3=False,
+            )
+
+    def test_finds_the_dp_optimum_under_precedence_constraints(self, constrained_problem):
+        self._assert_same_optimum(constrained_problem)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import OrderingProblem, optimize
 from repro.core.optimizer import ALGORITHMS
+from repro.core.vector import numpy_available
 from repro.exceptions import AdmissionError, ServingError
 from repro.serving import LatencySummary, PlanService, PlanServiceConfig, ServingMetrics
 
@@ -345,6 +346,27 @@ class TestKernelConfig:
                 assert default_kernel() == "scalar"
         finally:
             set_default_kernel(None)
+
+    @pytest.mark.skipif(not numpy_available(), reason="the vector kernel requires numpy")
+    def test_kernel_reaches_a_dp_member_named_in_algorithms(self):
+        from repro.core.dynamic_programming import DynamicProgrammingOptimizer
+        from repro.core.vector import set_default_kernel
+
+        problem = random_problem(8, 5)
+        exact = DynamicProgrammingOptimizer(kernel="scalar").optimize(problem)
+        try:
+            config = PlanServiceConfig(
+                budget_seconds=None, algorithms=("dynamic_programming",), kernel="vector"
+            )
+            with PlanService(config) as plan_service:
+                response = plan_service.submit(problem)
+        finally:
+            set_default_kernel(None)
+        # The DP answers on the configured kernel with the scalar plan, bit for bit.
+        assert response.algorithm == "dynamic_programming"
+        assert response.optimal
+        assert response.order == exact.plan.order
+        assert response.cost == exact.cost
 
     def test_stats_report_profiling_not_a_served_kernel(self, service):
         # No served search reads a kernel, so /stats names none.

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.core.vector import numpy_available
 from repro.serialization import load_problem, save_problem
 from repro.workloads import credit_card_screening
 
@@ -62,6 +63,20 @@ class TestOptimize:
         with pytest.raises(SystemExit):
             main(["optimize", problem_file, "--kernel", "simd"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not numpy_available(), reason="the vector kernel requires numpy")
+    def test_kernel_flag_selects_the_dp_kernel(self, problem_file, capsys):
+        from repro.core.vector import set_default_kernel
+
+        # Four services: ``auto`` would stay scalar, so only the flag makes it vector.
+        try:
+            argv = ["optimize", problem_file, "--algorithm", "dynamic_programming"]
+            assert main(argv + ["--kernel", "vector", "--json"]) == 0
+        finally:
+            set_default_kernel(None)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["algorithm"] == "dynamic_programming"
+        assert payload["kernel"] == "vector"
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["optimize", str(tmp_path / "missing.json")]) == 2
