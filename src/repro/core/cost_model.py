@@ -27,6 +27,7 @@ exact agreement, so a divergence fails loudly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 from repro.exceptions import InvalidCostMatrixError, InvalidPlanError
@@ -64,15 +65,16 @@ class CommunicationCostMatrix:
                 raise InvalidCostMatrixError(
                     f"cost matrix must be square: row {i} has {len(row)} entries, expected {size}"
                 )
-            converted = []
-            for j, value in enumerate(row):
-                value = require_non_negative(value, f"t[{i}][{j}]", InvalidCostMatrixError)
-                if i == j and value != 0.0:
-                    raise InvalidCostMatrixError(
-                        f"diagonal entry t[{i}][{i}] must be zero, got {value!r}"
-                    )
-                converted.append(value)
-            validated.append(tuple(converted))
+            # The whole row is checked by builtins; only a row that fails is
+            # walked entry by entry, which raises the first error exactly as
+            # it always has.
+            try:
+                converted = tuple(map(float, row))
+            except Exception:  # noqa: BLE001 - the walk raises the precise error
+                converted = _walk_row(i, row)
+            if not (all(map(isfinite, converted)) and min(converted) >= 0 and converted[i] == 0.0):
+                converted = _walk_row(i, row)
+            validated.append(converted)
         self._rows: tuple[tuple[float, ...], ...] = tuple(validated)
         self._size = size
 
@@ -215,6 +217,17 @@ class CommunicationCostMatrix:
 
     def __repr__(self) -> str:
         return f"CommunicationCostMatrix(size={self._size}, mean={self.mean_cost():.4g})"
+
+
+def _walk_row(i: int, row: Sequence[float]) -> tuple[float, ...]:
+    """Validate row ``i`` entry by entry: the first invalid entry raises."""
+    converted = []
+    for j, value in enumerate(row):
+        value = require_non_negative(value, f"t[{i}][{j}]", InvalidCostMatrixError)
+        if i == j and value != 0.0:
+            raise InvalidCostMatrixError(f"diagonal entry t[{i}][{i}] must be zero, got {value!r}")
+        converted.append(value)
+    return tuple(converted)
 
 
 @dataclass(frozen=True)

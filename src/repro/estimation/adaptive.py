@@ -8,8 +8,9 @@ module provides that loop's decision logic:
 
 * :func:`compute_drift` quantifies how far freshly estimated parameters have
   moved from the ones the current plan was optimized for
-  (:class:`DriftReference` measures the same drift against a compact copy of
-  those parameters, for callers that must not keep the problem alive), and
+  (:class:`DriftReference` measures it against a compact copy of those
+  parameters, pairing services by position, for callers that must not keep
+  the problem alive), and
 * :class:`AdaptiveReoptimizer` decides when the drift is large enough to pay
   for a re-optimization and whether the newly optimal plan is enough of an
   improvement to actually switch (switching has a cost: in-flight tuples have
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.optimizer import optimize
 from repro.core.problem import OrderingProblem
-from repro.exceptions import EstimationError, InvalidProblemError
+from repro.exceptions import EstimationError
 
 __all__ = [
     "ParameterDrift",
@@ -135,59 +136,67 @@ def _max_relative_change(olds: Iterable[float], news: Iterable[float]) -> float:
 class DriftReference:
     """The parameters a plan was optimized for, without the problem itself.
 
-    Holds the service names and one ``array('d')``: the costs, then the
-    selectivities, then the transfer matrix row by row, all in the reference
-    problem's service order.  :meth:`drift` is bit-identical to
-    :func:`compute_drift` against the problem the reference was taken from —
-    services are matched by name, and an unmatched name set raises
-    :class:`~repro.exceptions.EstimationError` — at a fraction of the memory
-    a whole :class:`~repro.core.problem.OrderingProblem` holds.
+    Holds one ``array('d')``: the costs, then the selectivities, then the
+    transfer matrix row by row, with the services listed in the ``order``
+    the reference was taken in.  :meth:`drift` pairs services by position:
+    position ``p`` of the reference with service ``order[p]`` of the
+    observed problem.  The plan cache takes both orders from the problems'
+    fingerprints, which pair exactly the services a cached plan is
+    translated through; when both orders list the same service names, the
+    result is bit-identical to :func:`compute_drift` — at a fraction of the
+    memory a whole :class:`~repro.core.problem.OrderingProblem` holds.
     """
 
-    names: tuple[str, ...]
-    """Service names, in the reference problem's order."""
-
     values: array
-    """Costs, selectivities and the row-major transfer matrix."""
+    """Costs, selectivities and the row-major transfer matrix, in order."""
 
     @classmethod
-    def of(cls, problem: OrderingProblem) -> "DriftReference":
-        """Snapshot ``problem``'s parameters."""
-        values = array("d", problem.costs)
-        values.extend(problem.selectivities)
-        for index in range(problem.size):
-            values.extend(problem.transfer.row(index))
-        return cls(names=tuple(service.name for service in problem.services), values=values)
+    def of(cls, problem: OrderingProblem, order: Sequence[int] | None = None) -> "DriftReference":
+        """Snapshot ``problem``'s parameters with its services listed in
+        ``order`` (default: index order)."""
+        if order is None:
+            order = range(problem.size)
+        costs, selectivities = problem.costs, problem.selectivities
+        values = array("d", [costs[i] for i in order])
+        values.extend([selectivities[i] for i in order])
+        values.extend(_transfer_in_order(problem, order))
+        return cls(values=values)
 
-    def drift(self, observed: OrderingProblem) -> ParameterDrift:
-        """``compute_drift(reference problem, observed)``, from the snapshot."""
-        size = len(self.names)
-        # Names are unique within a problem, so equal sizes plus every
-        # reference name found in ``observed`` is the same name set.
-        try:
-            index_map = [observed.service_index(name) for name in self.names]
-        except InvalidProblemError:
-            index_map = []
-        if observed.size != size or len(index_map) != size:
+    def drift(
+        self, observed: OrderingProblem, order: Sequence[int] | None = None
+    ) -> ParameterDrift:
+        """The drift from the reference to ``observed``, whose services are
+        paired by position through ``order`` (default: index order).
+
+        Raises :class:`~repro.exceptions.EstimationError` when ``observed``
+        has a different number of services.
+        """
+        values = self.values
+        size = observed.size
+        if order is None:
+            order = range(size)
+        # n costs, n selectivities and n² transfers fix the reference's n.
+        if len(values) != size * (size + 2) or len(order) != size:
             raise EstimationError(
                 "cannot compute drift: the two problems describe different service sets"
             )
-        values = self.values
         costs, selectivities = observed.costs, observed.selectivities
-        transfer = observed.transfer
-        # The diagonal is zero in both matrices and changes by exactly 0.
-        observed_transfer = [
-            row[j] for row in (transfer.row(i) for i in index_map) for j in index_map
-        ]
         return ParameterDrift(
-            max_cost_drift=_max_relative_change(
-                values[:size], [costs[i] for i in index_map]
-            ),
+            max_cost_drift=_max_relative_change(values[:size], [costs[i] for i in order]),
             max_selectivity_drift=_max_relative_change(
-                values[size : 2 * size], [selectivities[i] for i in index_map]
+                values[size : 2 * size], [selectivities[i] for i in order]
             ),
-            max_transfer_drift=_max_relative_change(values[2 * size :], observed_transfer),
+            # The diagonal is zero in both matrices and changes by exactly 0.
+            max_transfer_drift=_max_relative_change(
+                values[2 * size :], _transfer_in_order(observed, order)
+            ),
         )
+
+
+def _transfer_in_order(problem: OrderingProblem, order: Sequence[int]) -> list[float]:
+    """``problem``'s transfer matrix, row-major, rows and columns in ``order``."""
+    rows = problem.transfer
+    return [row[j] for row in map(rows.row, order) for j in order]
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def problem_from_wire(payload: tuple) -> OrderingProblem:
                 mask ^= bit
     return OrderingProblem(
         services,
-        CommunicationCostMatrix([list(row) for row in rows]),
+        CommunicationCostMatrix(rows),
         precedence=precedence,
         sink_transfer=sink,
         name=name,

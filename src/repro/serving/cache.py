@@ -21,8 +21,10 @@ fingerprint quantization deliberately buckets nearby problems onto the same
 key, so :meth:`PlanCache.needs_revalidation` measures how far the requesting
 problem's parameters have drifted from the ones the cached plan was optimized
 for and reports when they moved beyond the configured threshold.  An entry
-keeps those parameters as one compact array, never the problem object itself,
-so a full cache holds plans and numbers, not problem graphs.
+keeps those parameters as one compact array in canonical order, never the
+problem object itself, so a full cache holds plans and numbers, not problem
+graphs; the asker's parameters are compared through its own canonical order,
+the same pairing its cached plan is translated through.
 
 Entries live in one recency-ordered ``OrderedDict`` under one lock, which
 also guards the counters: a lookup's read, expiry decision, drop-or-promote
@@ -120,8 +122,8 @@ class CachedPlan:
     """Whether the producing algorithm guarantees global optimality."""
 
     reference: DriftReference
-    """The parameters of the instance the plan was optimized for (drift
-    reference)."""
+    """The parameters of the instance the plan was optimized for, in
+    canonical order (drift reference)."""
 
     created_at: float
     """Cache-clock timestamp of the insertion."""
@@ -296,7 +298,8 @@ class PlanCache:
         """Store (or refresh) the plan cached for ``fingerprint``.
 
         ``problem`` is the instance the plan was optimized for; the entry
-        keeps a :class:`DriftReference` of its parameters, not the problem.
+        keeps a :class:`DriftReference` of its parameters in canonical order,
+        not the problem.
         """
         if len(positions) != fingerprint.size:
             raise ServingError(
@@ -309,7 +312,7 @@ class PlanCache:
             cost=cost,
             algorithm=algorithm,
             optimal=optimal,
-            reference=DriftReference.of(problem),
+            reference=DriftReference.of(problem, fingerprint.canonical_order),
             created_at=self.clock(),
         )
         key = fingerprint.key
@@ -340,19 +343,24 @@ class PlanCache:
     # -- revalidation ------------------------------------------------------
 
     def needs_revalidation(
-        self, entry: CachedPlan, problem: OrderingProblem, drift_threshold: float
+        self,
+        entry: CachedPlan,
+        problem: OrderingProblem,
+        fingerprint: ProblemFingerprint,
+        drift_threshold: float,
     ) -> bool:
         """Whether ``problem`` drifted too far from the entry's reference parameters.
 
         Quantization maps nearby problems to one fingerprint; this measures the
-        *actual* parameter drift (:meth:`DriftReference.drift`, bit-identical
-        to :func:`repro.estimation.adaptive.compute_drift`) between the problem
-        the plan was optimized for and the one now asking.  Problems whose
-        service sets cannot be matched by name are conservatively reported as
-        needing revalidation.
+        *actual* parameter drift (:meth:`DriftReference.drift`) between the
+        problem the plan was optimized for and the one now asking, whose
+        fingerprint is ``fingerprint``.  Services are paired by canonical
+        position, as the cached plan is: renaming the services of a problem
+        does not make it drift.  A problem of another size is conservatively
+        reported as needing revalidation.
         """
         try:
-            drift = entry.reference.drift(problem)
+            drift = entry.reference.drift(problem, fingerprint.canonical_order)
         except EstimationError:
             drifted = True
         else:

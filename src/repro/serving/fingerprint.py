@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from repro.core.problem import OrderingProblem
@@ -97,27 +98,6 @@ class ProblemFingerprint:
             ) from None
 
 
-def _signature(
-    problem: OrderingProblem, index: int, precision: int
-) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...], str]:
-    """The quantized sort key of one service (name is the last tie-break)."""
-    size = problem.size
-    outgoing = tuple(
-        sorted(quantize(problem.transfer_cost(index, j), precision) for j in range(size) if j != index)
-    )
-    incoming = tuple(
-        sorted(quantize(problem.transfer_cost(j, index), precision) for j in range(size) if j != index)
-    )
-    return (
-        quantize(problem.costs[index], precision),
-        quantize(problem.selectivities[index], precision),
-        quantize(problem.sink_cost(index), precision),
-        outgoing,
-        incoming,
-        problem.service(index).name,
-    )
-
-
 def fingerprint_problem(
     problem: OrderingProblem,
     precision: int = DEFAULT_PRECISION,
@@ -137,29 +117,53 @@ def fingerprint_problem(
         When true, service names participate in the hash, so equal structure
         under different names yields different fingerprints.  Names always act
         as the deterministic tie-break of the canonical order either way.
+
+    Every parameter is quantized once, into flat integer lists, with
+    :func:`quantize`'s arithmetic; the sort keys and the canonical document
+    are built from those lists.
     """
+    if precision < 0:
+        raise ServingError(f"precision must be non-negative, got {precision!r}")
     size = problem.size
-    canonical = tuple(
-        sorted(range(size), key=lambda index: _signature(problem, index, precision))
-    )
+    # ``round(value * 10**precision)`` as :func:`quantize` computes it; every
+    # parameter of an ``OrderingProblem`` is already a validated float.
+    scaled = float(10**precision).__mul__
+
+    def quantized(values: Sequence[float]) -> list[int]:
+        return list(map(round, map(scaled, values)))
+
+    services = problem.services
+    costs = quantized(problem.costs)
+    selectivities = quantized(problem.selectivities)
+    sink_transfer = problem.sink_transfer
+    sink = quantized(sink_transfer) if sink_transfer is not None else [0] * size
+    rows = [quantized(problem.transfer.row(i)) for i in range(size)]
+    columns = list(zip(*rows))
+
+    # A service's sort key: (cost, selectivity, sink transfer, its sorted
+    # outgoing and incoming transfers, name) -- the name is the last,
+    # deterministic tie-break.  The diagonal quantizes to 0, the smallest
+    # value a transfer can take, so every sorted row and column leads with
+    # it, and keeping it orders the keys exactly as leaving it out does.
+    signatures = [
+        (costs[i], selectivities[i], sink[i], sorted(rows[i]), sorted(columns[i]), services[i].name)
+        for i in range(size)
+    ]
+    canonical = tuple(sorted(range(size), key=signatures.__getitem__))
     position_of = {index: position for position, index in enumerate(canonical)}
+    # One row in canonical column order (a one-index itemgetter returns the
+    # bare item, not a sequence).
+    pick = itemgetter(*canonical) if size > 1 else list
 
     document: dict[str, object] = {
         "v": 1,
         "precision": precision,
         "size": size,
-        "costs": [quantize(problem.costs[index], precision) for index in canonical],
-        "selectivities": [
-            quantize(problem.selectivities[index], precision) for index in canonical
-        ],
-        "transfer": [
-            [quantize(problem.transfer_cost(i, j), precision) for j in canonical]
-            for i in canonical
-        ],
-        "sink": [quantize(problem.sink_cost(index), precision) for index in canonical]
-        if problem.sink_transfer is not None
-        else None,
-        "threads": [problem.service(index).threads for index in canonical],
+        "costs": [costs[index] for index in canonical],
+        "selectivities": [selectivities[index] for index in canonical],
+        "transfer": [pick(row) for row in map(rows.__getitem__, canonical)],
+        "sink": [sink[index] for index in canonical] if sink_transfer is not None else None,
+        "threads": [services[index].threads for index in canonical],
         "precedence": sorted(
             (position_of[before], position_of[after])
             for before, after in (
@@ -168,7 +172,7 @@ def fingerprint_problem(
         ),
     }
     if include_names:
-        document["names"] = [problem.service(index).name for index in canonical]
+        document["names"] = [services[index].name for index in canonical]
 
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()

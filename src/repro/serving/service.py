@@ -496,7 +496,9 @@ class PlanService:
             return None
         needs_refresh = lookup.stale or (
             self.config.drift_threshold is not None
-            and self.cache.needs_revalidation(entry, problem, self.config.drift_threshold)
+            and self.cache.needs_revalidation(
+                entry, problem, fingerprint, self.config.drift_threshold
+            )
         )
         if needs_refresh:
             self._schedule_revalidation(problem, fingerprint.key)

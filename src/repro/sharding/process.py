@@ -9,6 +9,11 @@ service — cache, portfolio, admission control — into its own OS process:
   carries experiment suites to worker processes), and answers come back as
   the flat primitive documents of :func:`repro.serving.http.response_to_dict`
   — no pickled object graphs in either direction;
+* the router's fingerprint travels with the problem as
+  ``(digest, precision, size, canonical_order)``, so a problem is hashed once,
+  at the front door: the child checks that the shipped size and precision
+  match its problem and configuration (O(1); a mismatch is a
+  :class:`~repro.exceptions.ServingError`) and hashes nothing itself;
 * inside the child, each request is handled on an executor thread through
   the service's blocking surface, so one shard process serves concurrent
   submissions (admission control included);
@@ -45,6 +50,7 @@ from repro.exceptions import (
 )
 from repro.obs.trace import Span, activate_trace, current_trace, emit_spans, trace_span
 from repro.serialization import problem_from_wire, problem_to_wire
+from repro.serving.fingerprint import ProblemFingerprint
 from repro.serving.http import response_from_dict, response_to_dict
 from repro.serving.service import PlanResponse, PlanService, PlanServiceConfig
 from repro.sharding.multiplexer import ResponseMultiplexer, default_multiplexer
@@ -139,21 +145,96 @@ def _handle(item: tuple, responses, service: PlanService, shard_id: str) -> None
         responses.put((request_id, True, answer, spans))
 
 
+def _fingerprint_to_wire(fingerprint: ProblemFingerprint | None) -> tuple | None:
+    """The router's fingerprint as plain fields (``None`` when there is none)."""
+    if fingerprint is None:
+        return None
+    return (
+        fingerprint.digest,
+        fingerprint.precision,
+        fingerprint.size,
+        fingerprint.canonical_order,
+    )
+
+
+def _fingerprint_from_wire(
+    shipped: tuple | None, problem: OrderingProblem, precision: int
+) -> ProblemFingerprint | None:
+    """Rebuild a shipped fingerprint after an O(1) check against ``problem``.
+
+    The digest is trusted, not recomputed: re-hashing here would pay the
+    O(n²) fingerprint a second time.  A fingerprint taken at another
+    precision, or of a problem of another size, is refused.
+    """
+    if shipped is None:
+        return None
+    digest, shipped_precision, size, canonical_order = shipped
+    if shipped_precision != precision:
+        raise ServingError(
+            f"shipped fingerprint has precision {shipped_precision!r}, "
+            f"but this shard fingerprints at {precision!r}"
+        )
+    if size != problem.size or len(canonical_order) != size:
+        raise ServingError(
+            f"shipped fingerprint covers {size!r} services, "
+            f"but the problem has {problem.size}"
+        )
+    return ProblemFingerprint(
+        digest=digest, precision=precision, size=size, canonical_order=canonical_order
+    )
+
+
 def _answer(service: PlanService, kind: str, item: tuple):
+    precision = service.config.fingerprint_precision
     if kind == "submit":
-        payload, budget = item[2], item[3]
-        response = service.submit(problem_from_wire(payload), budget_seconds=budget)
+        payload, budget, shipped = item[2], item[3], item[4]
+        problem = problem_from_wire(payload)
+        response = service.submit(
+            problem,
+            budget_seconds=budget,
+            fingerprint=_fingerprint_from_wire(shipped, problem, precision),
+        )
         return response_to_dict(response)
     if kind == "batch":
-        payloads, budget = item[2], item[3]
+        payloads, budget, shipped = item[2], item[3], item[4]
         problems = [problem_from_wire(payload) for payload in payloads]
-        answered = service.optimize_batch(problems, budget_seconds=budget)
+        fingerprints = None
+        if shipped is not None:
+            fingerprints = [
+                _fingerprint_from_wire(fields, problem, precision)
+                for fields, problem in zip(shipped, problems)
+            ]
+        answered = service.optimize_batch(
+            problems, budget_seconds=budget, fingerprints=fingerprints
+        )
         return [response_to_dict(response) for response in answered]
     if kind == "stats":
         return service.stats()
     if kind == "keys":
         return service.cache.keys()
     raise ShardingError(f"unknown shard operation {kind!r}")
+
+
+def _submit_operation(
+    problem: OrderingProblem,
+    budget_seconds: float | None,
+    fingerprint: ProblemFingerprint | None,
+) -> tuple:
+    return ("submit", problem_to_wire(problem), budget_seconds, _fingerprint_to_wire(fingerprint))
+
+
+def _batch_operation(
+    problems: Sequence[OrderingProblem],
+    budget_seconds: float | None,
+    fingerprints: Sequence[ProblemFingerprint] | None,
+) -> tuple:
+    payloads = [problem_to_wire(problem) for problem in problems]
+    shipped = (
+        [_fingerprint_to_wire(fingerprint) for fingerprint in fingerprints]
+        if fingerprints is not None
+        else None
+    )
+    return ("batch", payloads, budget_seconds, shipped)
 
 
 def _resolve(waiter: Future, outcome: tuple) -> None:
@@ -206,46 +287,51 @@ class ProcessShard:
         self,
         problem: OrderingProblem,
         budget_seconds: float | None = None,
-        fingerprint: object | None = None,
+        fingerprint: ProblemFingerprint | None = None,
     ) -> PlanResponse:
-        # ``fingerprint`` is accepted for surface parity with in-proc shards
-        # but not shipped: the child re-fingerprints in its own process.
-        document = self._call(("submit", problem_to_wire(problem), budget_seconds))
+        """Answer one request in the child; ``fingerprint`` (computed from
+        ``problem`` at the shard's precision) ships along so the child does
+        not hash the problem again."""
+        document = self._call(_submit_operation(problem, budget_seconds, fingerprint))
         return response_from_dict(document)
 
     def optimize_batch(
         self,
         problems: Sequence[OrderingProblem],
         budget_seconds: float | None = None,
-        fingerprints: Sequence[object] | None = None,
+        fingerprints: Sequence[ProblemFingerprint] | None = None,
     ) -> list[PlanResponse]:
+        """Answer a batch in the child (``fingerprints``: one per problem, as
+        for :meth:`submit`)."""
         if not problems:
             return []
-        payloads = [problem_to_wire(problem) for problem in problems]
-        documents = self._call(("batch", payloads, budget_seconds))
+        documents = self._call(_batch_operation(problems, budget_seconds, fingerprints))
         return [response_from_dict(document) for document in documents]
 
     async def submit_async(
         self,
         problem: OrderingProblem,
         budget_seconds: float | None = None,
-        fingerprint: object | None = None,
+        fingerprint: ProblemFingerprint | None = None,
     ) -> PlanResponse:
         """Awaitable :meth:`submit`: the same waiter, awaited on the event loop."""
-        document = await self._call_async(("submit", problem_to_wire(problem), budget_seconds))
+        document = await self._call_async(
+            _submit_operation(problem, budget_seconds, fingerprint)
+        )
         return response_from_dict(document)
 
     async def optimize_batch_async(
         self,
         problems: Sequence[OrderingProblem],
         budget_seconds: float | None = None,
-        fingerprints: Sequence[object] | None = None,
+        fingerprints: Sequence[ProblemFingerprint] | None = None,
     ) -> list[PlanResponse]:
         """Awaitable :meth:`optimize_batch` (same wire path as :meth:`submit_async`)."""
         if not problems:
             return []
-        payloads = [problem_to_wire(problem) for problem in problems]
-        documents = await self._call_async(("batch", payloads, budget_seconds))
+        documents = await self._call_async(
+            _batch_operation(problems, budget_seconds, fingerprints)
+        )
         return [response_from_dict(document) for document in documents]
 
     def stats(self) -> dict[str, object]:

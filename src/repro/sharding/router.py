@@ -9,7 +9,8 @@ front end and the CLI bind to either interchangeably, while behind it
 * every request is **routed by fingerprint key** over a consistent-hash ring
   (:mod:`repro.sharding.ring`) — structurally identical problems always land
   on the same shard, so each shard's cache and single-flight keep their full
-  effectiveness and no plan is optimized on two shards;
+  effectiveness and no plan is optimized on two shards; the fingerprint is
+  computed once, here, and handed to the shard with the problem;
 * **batches are split per shard** and fanned out concurrently with
   :func:`asyncio.gather`, each sub-batch answered through the shard's own
   bulk path (one admission, per-batch fingerprint dedup), and the responses
@@ -214,8 +215,10 @@ class ShardRouter:
     def _route(self, problem: OrderingProblem, span):
         """The shard owning ``problem``'s fingerprint, and that fingerprint.
 
-        The fingerprint travels along so an in-proc shard's service skips the
-        re-hash (a process shard recomputes in its own process).
+        This is the only place a routed problem is hashed: the fingerprint
+        travels along, to an in-proc shard's service as the object and to a
+        process shard's child with the wire payload, and neither hashes the
+        problem again.
         """
         if self._closed.is_set():
             raise ShardingError("the shard router has been closed")

@@ -6,6 +6,82 @@ import pytest
 
 from repro.core import CommunicationCostMatrix, bottleneck_cost, bottleneck_stage, prefix_products, stage_costs
 from repro.exceptions import InvalidCostMatrixError, InvalidPlanError
+from repro.utils.validation import require_non_negative
+
+NAN, INF = float("nan"), float("inf")
+
+
+def walk_every_entry(rows):
+    """The entry-by-entry validation the matrix has always performed (reference)."""
+    size = len(rows)
+    if size == 0:
+        raise InvalidCostMatrixError("cost matrix must have at least one row")
+    validated = []
+    for i, row in enumerate(rows):
+        if len(row) != size:
+            raise InvalidCostMatrixError(
+                f"cost matrix must be square: row {i} has {len(row)} entries, expected {size}"
+            )
+        converted = []
+        for j, value in enumerate(row):
+            value = require_non_negative(value, f"t[{i}][{j}]", InvalidCostMatrixError)
+            if i == j and value != 0.0:
+                raise InvalidCostMatrixError(
+                    f"diagonal entry t[{i}][{i}] must be zero, got {value!r}"
+                )
+            converted.append(value)
+        validated.append(tuple(converted))
+    return tuple(validated)
+
+
+INVALID = {
+    "empty": [],
+    "non-square": [[0.0, 1.0], [2.0, 0.0, 3.0]],
+    "short row": [[0.0, 1.0, 2.0], [1.0, 0.0], [1.0, 2.0, 0.0]],
+    "nan": [[0.0, 1.0], [NAN, 0.0]],
+    "+inf": [[0.0, INF], [1.0, 0.0]],
+    "-inf": [[0.0, 1.0], [-INF, 0.0]],
+    "negative": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [1.0, -0.5, 0.0]],
+    "non-numeric string": [[0.0, "fast"], [1.0, 0.0]],
+    "none": [[0.0, 1.0], [None, 0.0]],
+    "object": [[0.0, object()], [1.0, 0.0]],
+    "nonzero diagonal": [[0.0, 1.0], [1.0, 0.25]],
+    "nan diagonal": [[NAN, 1.0], [1.0, 0.0]],
+    "first of two errors in a row": [[0.0, -1.0, "x"], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]],
+    "first of two errors, other kind": [[0.0, "x", -1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]],
+    "diagonal before a later bad entry": [[3.0, INF], [1.0, 0.0]],
+    "error in a later row only": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [1.0, 2.0, 9.0]],
+}
+
+ACCEPTED = {
+    "floats": [[0.0, 1.5], [2.0, 0.0]],
+    "ints": [[0, 1], [2, 0]],
+    "bools": [[False, True], [True, 0]],
+    "numeric strings": [["0", "1.5"], ["2e0", "0.0"]],
+    "negative zero": [[-0.0, 1.0], [0.0, -0.0]],
+    "tuples": ((0.0, 1.0), (1.0, 0.0)),
+}
+
+
+class TestRowByRowValidation:
+    """The matrix checks whole rows at once and walks only a failing row: it
+    still raises the walk's first error, type and message, and accepts what
+    the walk accepts."""
+
+    @pytest.mark.parametrize("rows", INVALID.values(), ids=INVALID.keys())
+    def test_invalid_input_raises_the_walks_error(self, rows):
+        with pytest.raises(InvalidCostMatrixError) as expected:
+            walk_every_entry(rows)
+        with pytest.raises(InvalidCostMatrixError) as raised:
+            CommunicationCostMatrix(rows)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("rows", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepted_input_converts_as_the_walk_does(self, rows):
+        matrix = CommunicationCostMatrix(rows)
+        expected = walk_every_entry(rows)
+        assert tuple(matrix.row(i) for i in range(matrix.size)) == expected
+        assert all(type(value) is float for i in range(matrix.size) for value in matrix.row(i))
 
 
 class TestCommunicationCostMatrix:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,21 +75,45 @@ def problem_pairs(draw):
     return current, observed
 
 
+def _named(problem, names):
+    """``problem`` with its services renamed to ``names``, index by index."""
+    return OrderingProblem.from_parameters(
+        list(problem.costs), list(problem.selectivities), problem.transfer.as_lists(),
+        names=list(names),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(problem_pairs())
 def test_reference_drift_is_compute_drift(pair):
     current, observed = pair
     reference = DriftReference.of(current)
-    try:
+    names = [service.name for service in current.services]
+    observed_names = [service.name for service in observed.services]
+    if len(observed_names) != len(names):
+        # Resized: no pairing of the services exists, and both refuse.
+        with pytest.raises(EstimationError):
+            compute_drift(current, observed)
+        with pytest.raises(EstimationError):
+            reference.drift(observed)
+        return
+    # The reference pairs services by position through ``order``: here each
+    # with its namesake, and a renamed service with the one whose name it
+    # replaced.  Reindexed problems get compute_drift's result; a renamed one
+    # gets a positional drift where compute_drift raises, equal to
+    # compute_drift's once the renamed service carries the replaced name.
+    replaced = dict(
+        zip(sorted(set(observed_names) - set(names)), sorted(set(names) - set(observed_names)))
+    )
+    namesakes = [replaced.get(name, name) for name in observed_names]
+    order = [namesakes.index(name) for name in names]
+    if replaced:
+        with pytest.raises(EstimationError):
+            compute_drift(current, observed)
+        expected = compute_drift(current, _named(observed, namesakes))
+    else:
         expected = compute_drift(current, observed)
-    except EstimationError:
-        expected = None
-    try:
-        measured = reference.drift(observed)
-    except EstimationError:
-        measured = None
-    assert (measured is None) == (expected is None)
-    assert measured == expected  # bit for bit, component by component
+    assert reference.drift(observed, order) == expected  # bit for bit, component by component
 
 
 def test_an_unchanged_problem_has_zero_drift(four_service_problem):

@@ -10,8 +10,11 @@ import threading
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OrderingProblem
+from repro.estimation import DriftReference, compute_drift
 from repro.exceptions import ServingError
 from repro.serving import PlanCache, fingerprint_problem
 
@@ -182,11 +185,13 @@ class TestDriftRevalidation:
             list(problem.selectivities),
             problem.transfer.as_lists(),
         )
-        assert cache.needs_revalidation(entry, drifted, drift_threshold=0.05)
-        assert not cache.needs_revalidation(entry, problem, drift_threshold=0.05)
+        assert cache.needs_revalidation(
+            entry, drifted, fingerprint_problem(drifted), drift_threshold=0.05
+        )
+        assert not cache.needs_revalidation(entry, problem, fingerprint, drift_threshold=0.05)
         assert cache.stats().revalidations == 1
 
-    def test_unmatchable_service_sets_are_conservatively_revalidated(self):
+    def test_renamed_services_are_compared_by_canonical_position(self):
         cache = PlanCache(capacity=4)
         problem = random_problem(4, 5)
         fingerprint = store(cache, problem)
@@ -198,7 +203,70 @@ class TestDriftRevalidation:
             problem.transfer.as_lists(),
             names=["p", "q", "r", "s"],
         )
-        assert cache.needs_revalidation(entry, renamed, drift_threshold=0.05)
+        renamed_fingerprint = fingerprint_problem(renamed)
+        assert renamed_fingerprint.key == fingerprint.key
+        assert not cache.needs_revalidation(
+            entry, renamed, renamed_fingerprint, drift_threshold=0.05
+        )
+        assert cache.stats().revalidations == 0
+
+    def test_a_problem_of_another_size_is_conservatively_revalidated(self):
+        cache = PlanCache(capacity=4)
+        problem = random_problem(4, 5)
+        fingerprint = store(cache, problem)
+        entry = cache.get(fingerprint).entry
+        assert entry is not None
+        larger = random_problem(5, 5)
+        assert cache.needs_revalidation(
+            entry, larger, fingerprint_problem(larger), drift_threshold=0.05
+        )
+
+
+@st.composite
+def reindexed_within_the_grid(draw):
+    """A problem on the precision-2 grid, and a re-indexed copy of it whose
+    parameters moved inside their quantization cells (same fingerprint)."""
+    size = draw(st.integers(1, 6))
+    names = [f"s{i}" for i in range(size)]
+    cells = st.integers(0, 400)
+    costs = draw(st.lists(cells, min_size=size, max_size=size))
+    selectivities = draw(st.lists(st.integers(1, 150), min_size=size, max_size=size))
+    flat = draw(st.lists(cells, min_size=size * size, max_size=size * size))
+    rows = [[0 if i == j else flat[i * size + j] for j in range(size)] for i in range(size)]
+
+    def moved(cell):
+        # At most 0.4 of a cell away, never below zero: quantizes to ``cell``.
+        return max(0.0, (cell + draw(st.floats(-0.4, 0.4))) / 100)
+
+    problem = OrderingProblem.from_parameters(
+        [cell / 100 for cell in costs],
+        [cell / 100 for cell in selectivities],
+        [[cell / 100 for cell in row] for row in rows],
+        names=names,
+    )
+    permutation = draw(st.permutations(range(size)))
+    observed = OrderingProblem.from_parameters(
+        [moved(costs[i]) for i in permutation],
+        [moved(selectivities[i]) for i in permutation],
+        [[0.0 if i == j else moved(rows[i][j]) for j in permutation] for i in permutation],
+        names=[names[i] for i in permutation],
+    )
+    return problem, observed
+
+
+@settings(max_examples=100, deadline=None)
+@given(reindexed_within_the_grid())
+def test_canonical_pairing_of_a_reindexed_problem_is_name_pairing(case):
+    """With one name set, drift through the two canonical orders is
+    bit-identical to ``compute_drift``: names are the canonical tie-break."""
+    problem, observed = case
+    reference_print = fingerprint_problem(problem, precision=2)
+    observed_print = fingerprint_problem(observed, precision=2)
+    assert observed_print.key == reference_print.key
+    reference = DriftReference.of(problem, reference_print.canonical_order)
+    assert reference.drift(observed, observed_print.canonical_order) == compute_drift(
+        problem, observed
+    )
 
 
 class TestCounters:
@@ -287,7 +355,10 @@ class TestEntryMap:
         assert entry.fingerprint.key == fingerprint.key
         assert entry.positions == fingerprint.to_positions(tuple(range(problem.size)))
         assert entry.cost == 2.5 and entry.algorithm == "test" and not entry.optimal
-        assert entry.reference.names == tuple(service.name for service in problem.services)
+        # The drift reference keeps the parameters in canonical order, not names.
+        assert list(entry.reference.values[: problem.size]) == [
+            problem.costs[index] for index in fingerprint.canonical_order
+        ]
         assert entry.created_at == 7.0
         assert len(cache) == 1
 

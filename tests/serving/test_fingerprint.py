@@ -3,7 +3,9 @@
 The contract: fingerprints are invariant under re-indexing of the same
 services (the cache's whole point), sensitive to parameter changes beyond the
 quantization step, and the canonical-position translation round-trips plans
-between equivalent problems.
+between equivalent problems.  The served fingerprint equals the per-element
+reference in ``fingerprint_oracle.py`` digest for digest, and a golden digest
+pins the canonical document, so no change re-keys every cache silently.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CommunicationCostMatrix, OrderingProblem, PrecedenceGraph
+from fingerprint_oracle import oracle_fingerprint
+from repro.core import CommunicationCostMatrix, OrderingProblem, PrecedenceGraph, Service
 from repro.exceptions import ServingError
 from repro.serving import fingerprint_problem, quantize
+from repro.workloads import credit_card_screening
 
 
 @st.composite
@@ -148,3 +152,97 @@ class TestSensitivity:
             fingerprint.to_positions((0, 1, 7))
         with pytest.raises(ServingError):
             fingerprint.from_positions((0, 1, 7))
+
+
+@st.composite
+def fingerprinted_problems(draw):
+    """Problems over every input the fingerprint reads, biased towards ties.
+
+    Parameters come from a few grid values (plus any float) so services often
+    tie on quantized fields; ``clones`` makes every service tie on all of them
+    and differ only by name, which leaves the order to the name tie-break.
+    """
+    size = draw(st.integers(1, 7))
+    clones = draw(st.booleans())
+    value = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.0000004, 2.25]),
+        st.floats(0.0, 5.0, allow_nan=False),
+    )
+    positive = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.01, 2.0))
+    if clones:
+        cost, selectivity, transfer, sink = draw(value), draw(positive), draw(value), draw(value)
+        costs, selectivities = [cost] * size, [selectivity] * size
+        rows = [[0.0 if i == j else transfer for j in range(size)] for i in range(size)]
+        sinks = [sink] * size
+        threads = [1] * size
+    else:
+        costs = draw(st.lists(value, min_size=size, max_size=size))
+        selectivities = draw(st.lists(positive, min_size=size, max_size=size))
+        flat = draw(st.lists(value, min_size=size * size, max_size=size * size))
+        rows = [[0.0 if i == j else flat[i * size + j] for j in range(size)] for i in range(size)]
+        sinks = draw(st.lists(value, min_size=size, max_size=size))
+        threads = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    names = draw(
+        st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=size, max_size=size, unique=True)
+    )
+    services = [
+        Service(name=names[i], cost=costs[i], selectivity=selectivities[i], threads=threads[i])
+        for i in range(size)
+    ]
+    precedence = None
+    if size > 1 and draw(st.booleans()):
+        # Edges that follow one random order are always acyclic.
+        topological = draw(st.permutations(range(size)))
+        precedence = PrecedenceGraph(size)
+        for before, after in draw(
+            st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=6)
+        ):
+            if before < after:
+                precedence.add(topological[before], topological[after])
+    return OrderingProblem(
+        services,
+        CommunicationCostMatrix(rows),
+        precedence=precedence,
+        sink_transfer=sinks if draw(st.booleans()) else None,
+    )
+
+
+class TestMatchesTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(fingerprinted_problems(), st.integers(0, 8), st.booleans())
+    def test_flat_fingerprint_is_the_oracle(self, problem, precision, include_names):
+        flat = fingerprint_problem(problem, precision, include_names)
+        reference = oracle_fingerprint(problem, precision, include_names)
+        assert flat.digest == reference.digest
+        assert flat.canonical_order == reference.canonical_order
+        assert flat == reference
+
+    def test_incoming_transfers_order_services_before_names(self):
+        # "a" and "z" tie on cost, selectivity and outgoing transfers; "z"
+        # receives the cheaper incoming transfers, so it comes first.
+        problem = OrderingProblem.from_parameters(
+            [1.0, 1.0, 1.0],
+            [0.5, 0.5, 0.5],
+            [[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [5.0, 5.0, 0.0]],
+            names=["a", "z", "m"],
+        )
+        fingerprint = fingerprint_problem(problem)
+        assert fingerprint.canonical_order == (1, 0, 2)
+        assert fingerprint == oracle_fingerprint(problem)
+
+    def test_golden_digest(self):
+        # The credit-card screening query at the default precision.  If this
+        # changes, every cache key, routed shard and response fingerprint
+        # changes with it.
+        fingerprint = fingerprint_problem(credit_card_screening())
+        assert fingerprint.digest == (
+            "fc50c80ee21399a0ffdecfb5bd26c1dbf3a7ff4ec5e19ade074ec455657794ce"
+        )
+        assert fingerprint.canonical_order == (3, 0, 1, 2)
+        assert fingerprint_problem(credit_card_screening(), include_names=True).digest == (
+            "a7fdd93b75de410cc2aa6058f193b72ec7fb7a41306b453bc9e1acdf76f22366"
+        )
+
+    def test_negative_precision_rejected(self, three_service_problem):
+        with pytest.raises(ServingError):
+            fingerprint_problem(three_service_problem, precision=-1)

@@ -235,6 +235,28 @@ class TestStaleWhileRevalidate:
                 assert plan_service.cache.stats().revalidations >= 1
 
 
+    def test_renamed_services_hit_without_revalidating(self):
+        """Drift pairs services by canonical position, as the cached plan is
+        translated, so a renamed problem is not a drifted one."""
+        problem = random_problem(6, 12)
+        permutation = [3, 0, 5, 1, 4, 2]
+        renamed = OrderingProblem.from_parameters(
+            [problem.costs[i] for i in permutation],
+            [problem.selectivities[i] for i in permutation],
+            [[problem.transfer_cost(i, j) for j in permutation] for i in permutation],
+            names=[f"renamed-{i}" for i in permutation],
+        )
+        with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
+            plan_service.submit(problem)
+            asked = [renamed if k % 2 == 0 else problem for k in range(6)]
+            responses = [plan_service.submit(each) for each in asked]
+            assert all(response.cache_hit for response in responses)
+            assert plan_service.cache.stats().revalidations == 0
+            for each, response in zip(asked, responses):
+                assert response.cost == each.cost(response.order)
+            assert responses[0].cost == responses[1].cost
+
+
 class TestStress:
     def test_no_lost_or_duplicated_responses_under_concurrency(self):
         """Satellite acceptance: many threads, every request answered exactly once."""
