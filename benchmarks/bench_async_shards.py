@@ -11,7 +11,8 @@ problem set.  The clients are *paced* (a fixed per-client think time between
 requests) so the server runs at high-but-not-saturated utilisation: that is
 the regime where p50 measures per-request latency rather than pure queueing.
 The payload also audits live thread counts during the run (no thread beyond
-those alive when the clients started, 1 ``shard-mux`` selector) and checks
+those alive when the clients started, 1 ``shard-mux`` selector, no
+``QueueFeederThread``: each shard talks over one duplex pipe) and checks
 that the served responses are byte-identical to the blocking router's for
 the same problems (modulo the per-call latency measurement).
 
@@ -348,12 +349,19 @@ def main(argv: list[str] | None = None) -> int:
             trials=trials,
         )
         parity = parity_check(router, problems)
+        # Still inside the router: a shard channel built on multiprocessing
+        # queues would show here as one feeder thread per queue.
+        feeder_threads = [
+            thread.name for thread in threading.enumerate()
+            if thread.name == "QueueFeederThread"
+        ]
 
     acceptance = {
         "concurrent_clients": clients,
         "native_zero_handler_threads": run["peak_handler_threads"] == 0,
         "one_multiplexer_thread": run["multiplexer_threads"] == 1,
         "responses_byte_identical": parity["mismatches"] == 0,
+        "no_queue_feeder_threads": not feeder_threads,
     }
 
     payload = {
@@ -380,7 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"acceptance: zero handler threads: {acceptance['native_zero_handler_threads']}, "
         f"one multiplexer: {acceptance['one_multiplexer_thread']}, byte-identical: "
-        f"{acceptance['responses_byte_identical']}"
+        f"{acceptance['responses_byte_identical']}, no queue feeder threads: "
+        f"{acceptance['no_queue_feeder_threads']}"
     )
     return 0
 

@@ -10,9 +10,10 @@ Two invariants the process-shard stack depends on:
   ``multiprocessing.Process(...)`` / ``multiprocessing.Queue()`` binds to
   the platform default start method, which differs across OSes and fights
   the ``preferred_context`` threading the sharding layer does deliberately.
-  ``context.Process(...)`` / ``context.Queue()`` (an mp context threaded
+  ``context.Process(...)`` / ``context.Pipe()`` (an mp context threaded
   through) is the sanctioned spelling.  ``multiprocessing.Pipe`` is exempt:
-  a pipe is start-method independent and the multiplexer uses it directly.
+  a pipe is start-method independent — each process shard talks to its
+  child over one duplex pipe, and the multiplexer's self-pipe is a bare one.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ HTTP/1.1 parsing is hand-rolled and minimal (request line, headers,
 ``Content-Length``-framed bodies, keep-alive) in the repository's
 stdlib-only style.  A process-shard deployment runs exactly one event loop
 for sockets plus the one selector thread
-(:class:`~repro.sharding.multiplexer.ResponseMultiplexer`) for shard pipes.
+(:class:`~repro.sharding.multiplexer.ResponseMultiplexer`) for the shards'
+duplex pipes and exit sentinels.
 
 ``benchmarks/bench_async.py`` measures the payoff: K deliberately slow
 clients leave fast-client latency through this server at its baseline.

@@ -12,10 +12,11 @@ serving stack horizontally:
   (:mod:`repro.serving.http`) and the CLI bind to either,
 * :mod:`repro.sharding.process` — :class:`ProcessShard`, a whole service in
   its own OS process behind the array wire codec, which is what makes N
-  shards use N cores,
+  shards use N cores; parent and child share one duplex pipe,
 * :mod:`repro.sharding.multiplexer` — :class:`ResponseMultiplexer`, the one
   selector loop correlating every process shard's answers (N shards cost one
-  thread, not N reader threads),
+  thread, not N reader threads); it also waits on each child's exit
+  sentinel, so a dead shard's waiters fail the moment it exits,
 
 with each shard keeping its own in-process plan cache: the ring gives every
 fingerprint exactly one owning shard, so no cache tier is shared.

@@ -1,27 +1,23 @@
-"""One selector loop over every process shard's response pipe.
+"""One selector loop over every process shard's pipe and exit sentinel.
 
-A :class:`~repro.sharding.process.ProcessShard` used to pin one dedicated
-reader thread per shard in the router process, each blocking on its own
-response queue — N shards cost N parked threads before a single request
-flows.  The :class:`ResponseMultiplexer` flattens that: *one* thread waits on
-all registered shards' response pipes at once
-(:func:`multiprocessing.connection.wait`, the stdlib's selector over pipe
-file descriptors) and dispatches each ``(request_id, ok, payload)`` answer to
-the owning shard's correlation callback.
-
+A :class:`~repro.sharding.process.ProcessShard` talks to its child over one
+duplex pipe.  Instead of one reader thread per shard, *one* thread waits on
+every registered shard's pipe at once (:func:`multiprocessing.connection.wait`,
+the stdlib's selector over file descriptors) and dispatches each
+``(request_id, ok, payload, spans)`` answer to the owning shard's callback.
 Every router and standalone shard in a process shares the same process-wide
 multiplexer (:func:`default_multiplexer`) — shard count scales without the
 thread count following it.
 
-Registration is keyed by small :class:`_Port` handles: a shard registers its
-response queue plus three callbacks (``on_message`` for answers, ``alive``
-for liveness probing, ``on_death`` to fail its waiters) and unregisters on
-close.  Liveness is swept at the poll cadence, but only for ports with no
-answer bytes pending, so buffered answers of a crashing shard are still
-delivered before its waiters are failed — the same ordering the per-shard
-reader threads guaranteed.  The sweep timer only runs while at least one
-shard is registered: an idle multiplexer parks in the selector without a
-timeout and wakes on the self-pipe, costing zero scheduled wake-ups.
+A shard registers its pipe, its child's :attr:`multiprocessing.Process.sentinel`
+and two callbacks (``on_message`` for answers, ``on_death`` to fail its
+waiters), and unregisters on close.  A shard's death is an event, not a poll:
+the one ``wait`` call watches the sentinels too, with no timeout.  When a
+child's sentinel fires (it exited) or its pipe reaches end of file, the loop
+first reads every answer still buffered in the pipe, then calls ``on_death``
+and drops the port — so a dying shard's finished answers reach their callers
+before its other waiters fail.  Between events the loop sleeps, waking only
+for a pipe, a sentinel or its own self-pipe (registration changes, close).
 
 The multiplexer stays agnostic of who waits: it calls ``on_message`` on its
 own thread, and :class:`repro.sharding.process.ProcessShard` resolves the
@@ -34,101 +30,57 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
-import queue
+import pickle
 import threading
-import time
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 __all__ = ["ResponseMultiplexer", "default_multiplexer"]
 
-_POLL_SECONDS = 0.25
-"""Default wait timeout: the cadence of the dead-shard liveness sweep.
-Overridable per instance (``poll_seconds=``) and, for the process-wide
-default multiplexer, via the ``REPRO_MUX_POLL_SECONDS`` environment variable
-— tests of the death sweep set it low instead of sleeping 250 ms per
-assertion."""
 
-_POLL_ENV_VAR = "REPRO_MUX_POLL_SECONDS"
+class _Port(NamedTuple):
+    """One registered shard: its pipe, its child's exit sentinel, its callbacks."""
 
-
-def _default_poll_seconds() -> float:
-    """The default multiplexer's sweep cadence (env-overridable, validated)."""
-    raw = os.environ.get(_POLL_ENV_VAR, "").strip()
-    if not raw:
-        return _POLL_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{_POLL_ENV_VAR} must be a positive number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"{_POLL_ENV_VAR} must be a positive number of seconds, got {raw!r}"
-        )
-    return value
-
-
-class _Port:
-    """One registered shard response channel."""
-
-    __slots__ = ("response_queue", "reader", "on_message", "alive", "on_death")
-
-    def __init__(
-        self,
-        response_queue,
-        on_message: Callable[[tuple], None],
-        alive: Callable[[], bool] | None,
-        on_death: Callable[[], None] | None,
-    ) -> None:
-        self.response_queue = response_queue
-        # The queue's receiving Connection — what the selector waits on.  A
-        # private attribute, but a stable one (CPython's mp.Queue has carried
-        # it unchanged for over a decade), and the whole point: readiness
-        # without a blocking get() per shard.
-        self.reader = response_queue._reader
-        self.on_message = on_message
-        self.alive = alive
-        self.on_death = on_death
+    connection: Any
+    on_message: Callable[[tuple], None]
+    sentinel: int | None
+    on_death: Callable[[], None] | None
 
 
 class ResponseMultiplexer:
     """A single thread correlating every registered shard's answers.
 
     Thread-safe: ports may be registered/unregistered from any thread while
-    the loop runs.  The loop thread starts lazily on the first registration
-    and idles at the poll cadence when no ports are registered.
+    the loop runs.  The loop thread starts lazily on the first registration.
     """
 
-    def __init__(self, name: str = "shard-mux", poll_seconds: float = _POLL_SECONDS) -> None:
+    def __init__(self, name: str = "shard-mux") -> None:
         self._name = name
-        self._poll_seconds = poll_seconds
         self._lock = threading.Lock()
         self._ports: set[_Port] = set()  # guarded-by: _lock
         self._thread: threading.Thread | None = None  # guarded-by: _lock
         self._stopped = threading.Event()
-        # Dispatch accounting (only the loop thread writes, so plain ints).
-        self._dispatched = 0
-        self._dropped = 0
-        # A self-pipe: registration changes wake the selector immediately
-        # instead of waiting out the current poll timeout.
+        # A self-pipe: registration changes wake the selector immediately.
         self._wake_recv, self._wake_send = multiprocessing.Pipe(duplex=False)
 
     # -- registration ------------------------------------------------------
 
     def register(
         self,
-        response_queue,
+        connection,
         on_message: Callable[[tuple], None],
-        alive: Callable[[], bool] | None = None,
+        sentinel: int | None = None,
         on_death: Callable[[], None] | None = None,
     ) -> _Port:
-        """Start correlating ``response_queue``; returns the port handle."""
+        """Start reading ``connection``; returns the port handle.
+
+        ``sentinel`` becomes ready when the process writing to ``connection``
+        exits.  Then, or when the pipe reaches end of file, ``on_death`` is
+        called once on the loop thread, after every buffered answer.
+        """
         with self._lock:
             if self._stopped.is_set():
                 raise RuntimeError("the response multiplexer has been closed")
-            port = _Port(response_queue, on_message, alive, on_death)
+            port = _Port(connection, on_message, sentinel, on_death)
             self._ports.add(port)
             if self._thread is None:
                 self._thread = threading.Thread(
@@ -141,7 +93,7 @@ class ResponseMultiplexer:
     def unregister(self, port: _Port) -> None:
         """Stop correlating ``port`` (idempotent).
 
-        The caller may close the underlying queue immediately afterwards: a
+        The caller may close the underlying pipe immediately afterwards: a
         selector pass racing the closure sees a dead file descriptor, which
         the loop tolerates and drops on its next rebuild.
         """
@@ -153,20 +105,6 @@ class ResponseMultiplexer:
         """Number of registered shard channels (introspection/tests)."""
         with self._lock:
             return len(self._ports)
-
-    def stats(self) -> dict[str, int]:
-        """Dispatch counters: answers routed to callbacks, and drops.
-
-        A *drop* is a message consumed off a port's queue whose callback
-        raised or whose payload failed to decode — its waiter is failed by
-        the owner's death sweep or close, never hung.
-        """
-        with self._lock:
-            return {
-                "ports": len(self._ports),
-                "dispatched": self._dispatched,
-                "dropped": self._dropped,
-            }
 
     @property
     def thread_name(self) -> str | None:
@@ -182,7 +120,7 @@ class ResponseMultiplexer:
         with self._lock:
             thread = self._thread
         if thread is not None:
-            thread.join(timeout=2 * self._poll_seconds + 1.0)
+            thread.join(timeout=2.0)
 
     # -- the loop ----------------------------------------------------------
 
@@ -193,41 +131,34 @@ class ResponseMultiplexer:
             pass
 
     def _run(self) -> None:
-        last_sweep = time.monotonic()
         while not self._stopped.is_set():
             try:
-                last_sweep = self._run_once(last_sweep)
-            except OSError:
-                # A port's queue was closed between snapshot and wait (shard
-                # shutdown race); drop the stale snapshot and rebuild.
-                continue
+                self._run_once()
             except Exception:  # noqa: BLE001 - one loop serves every shard
-                # Nothing may kill the process-wide selector thread: a dead
-                # loop would hang every shard's waiters forever.
+                # A pipe closed between snapshot and wait raises OSError; drop
+                # the stale snapshot and rebuild.  Nothing may kill the
+                # process-wide selector thread: a dead loop would hang every
+                # shard's waiters forever.
                 continue
 
-    def _run_once(self, last_sweep: float) -> float:
+    def _run_once(self) -> None:
         with self._lock:
             ports = list(self._ports)
-        waitables = [port.reader for port in ports] + [self._wake_recv]
-        # The poll timeout exists only to drive the dead-shard liveness
-        # sweep; with no shard registered there is nothing to sweep, so the
-        # idle loop parks without a timeout and wakes on the self-pipe.
-        timeout = self._poll_seconds if ports else None
-        ready = multiprocessing.connection.wait(waitables, timeout=timeout)
+        waitables = [self._wake_recv]
+        for port in ports:
+            waitables.append(port.connection)
+            if port.sentinel is not None:
+                waitables.append(port.sentinel)
+        ready = set(multiprocessing.connection.wait(waitables))
         if self._stopped.is_set():
-            return last_sweep
-        ready_set = set(ready)
-        if self._wake_recv in ready_set:
+            return
+        if self._wake_recv in ready:
             self._drain_wakeups()
         for port in ports:
-            if port.reader in ready_set:
-                self._drain_port(port)
-        now = time.monotonic()
-        if now - last_sweep >= self._poll_seconds:
-            last_sweep = now
-            self._sweep_dead(ports)
-        return last_sweep
+            exited = port.sentinel in ready
+            if exited or port.connection in ready:
+                if not self._drain_port(port) or exited:
+                    self._bury(port)
 
     def _drain_wakeups(self) -> None:
         try:
@@ -236,42 +167,29 @@ class ResponseMultiplexer:
         except (EOFError, OSError):  # pragma: no cover - closed during teardown
             pass
 
-    def _drain_port(self, port: _Port) -> None:
-        while True:
-            try:
-                item = port.response_queue.get_nowait()
-            except queue.Empty:
-                return
-            except (EOFError, OSError, ValueError):
-                # The channel died under us (shard torn down mid-drain);
-                # in-flight waiters are failed by the owner's close/sweep.
-                return
-            except Exception:  # noqa: BLE001 - e.g. an unpicklable payload
-                # The message bytes were consumed; skip it and keep draining.
-                # Its waiter is failed by the owner's death sweep or close.
-                self._dropped += 1
-                continue
-            try:
-                port.on_message(item)
-                self._dispatched += 1
-            except Exception:  # pragma: no cover - callbacks must not kill the loop
-                self._dropped += 1
+    def _drain_port(self, port: _Port) -> bool:
+        """Dispatch every answer buffered in ``port``'s pipe; ``False`` once
+        the pipe is closed (end of file, a frame cut short by the writer's
+        death, or a descriptor closed under us)."""
+        try:
+            while port.connection.poll():
+                frame = port.connection.recv_bytes()
+                try:
+                    port.on_message(pickle.loads(frame))
+                except Exception:  # noqa: BLE001 - e.g. an undecodable payload
+                    # The frame was consumed; skip it and keep draining.  Its
+                    # waiter is failed when the owner dies or closes.
+                    continue
+        except (EOFError, OSError):
+            return False
+        return True
 
-    def _sweep_dead(self, ports: list[_Port]) -> None:
-        """Fail waiters of shards whose process died with nothing left to read."""
-        for port in ports:
-            if port.alive is None or port.on_death is None:
-                continue
-            try:
-                pending = port.reader.poll()
-            except (OSError, ValueError):
-                pending = False
-            if pending or port.alive():
-                continue
-            try:
-                port.on_death()
-            except Exception:  # pragma: no cover - callbacks must not kill the loop
-                pass
+    def _bury(self, port: _Port) -> None:
+        """Drop a port whose writer is gone, then tell its owner."""
+        with self._lock:
+            self._ports.discard(port)
+        if port.on_death is not None:
+            port.on_death()
 
 
 _default_lock = threading.Lock()
@@ -287,5 +205,5 @@ def default_multiplexer() -> ResponseMultiplexer:
     global _default
     with _default_lock:
         if _default is None:
-            _default = ResponseMultiplexer(poll_seconds=_default_poll_seconds())
+            _default = ResponseMultiplexer()
         return _default

@@ -17,24 +17,33 @@ service — cache, portfolio, admission control — into its own OS process:
 * inside the child, each request is handled on an executor thread through
   the service's blocking surface, so one shard process serves concurrent
   submissions (admission control included);
+* parent and child share one duplex pipe; each side pickles outside its
+  send lock and writes the frame under it (the parent has many concurrent
+  senders, the child answers from executor threads);
 * the parent side multiplexes: every request registers one waiter — a
   :class:`concurrent.futures.Future` keyed by request id — and the
   process-wide :class:`~repro.sharding.multiplexer.ResponseMultiplexer`, one
-  selector thread over *all* shards' response pipes, resolves it.  Blocking
-  callers (:meth:`ProcessShard.submit`) wait on that future; event-loop
-  callers (:meth:`ProcessShard.submit_async`) await it.
+  selector thread over *all* shards' pipes and exit sentinels, resolves it.
+  Blocking callers (:meth:`ProcessShard.submit`) wait on that future;
+  event-loop callers (:meth:`ProcessShard.submit_async`) await it.
 
 Shard-side failures are re-raised in the parent with their original type
 where it matters (:class:`~repro.exceptions.AdmissionError` must keep
-meaning HTTP 503); a shard process dying fails its in-flight requests with
-:class:`~repro.exceptions.ShardingError` instead of hanging them.
+meaning HTTP 503).  A shard process's exit is seen at once (its sentinel
+fires): answers it wrote are delivered, its other in-flight requests fail
+with :class:`~repro.exceptions.ShardingError`, and so does, at once, every
+later request to it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import multiprocessing
+import multiprocessing.connection
+import os
+import pickle
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Sequence
@@ -90,9 +99,16 @@ def preferred_context(method: str | None = None) -> multiprocessing.context.Base
     return multiprocessing.get_context(method)
 
 
-def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id: str) -> None:
-    """Child entry point: serve requests until the shutdown sentinel."""
+def _shard_service_main(
+    connection, parent_end, config: PlanServiceConfig, shard_id: str
+) -> None:
+    """Child entry point: serve requests until the shutdown sentinel, or until
+    the parent's end of the pipe is gone (end of file)."""
     import signal
+
+    # A fork inherits the parent's end; without closing it here, the parent's
+    # exit would never read as end of file.
+    parent_end.close()
 
     # A foreground Ctrl-C delivers SIGINT to the whole process group; shard
     # shutdown is coordinated by the parent (sentinel, then terminate), so
@@ -105,13 +121,19 @@ def _shard_service_main(requests, responses, config: PlanServiceConfig, shard_id
     executor = ThreadPoolExecutor(
         max_workers=config.max_in_flight + 2, thread_name_prefix="shard-request"
     )
-    while (item := requests.get()) is not _SHUTDOWN:
-        executor.submit(_handle, item, responses, service, shard_id)
+    send_lock = threading.Lock()
+    try:
+        while (item := connection.recv()) is not _SHUTDOWN:
+            executor.submit(_handle, item, connection, send_lock, service, shard_id)
+    except (EOFError, OSError):  # the parent is gone
+        pass
     executor.shutdown(wait=True)
     service.close()
 
 
-def _handle(item: tuple, responses, service: PlanService, shard_id: str) -> None:
+def _handle(
+    item: tuple, connection, send_lock: threading.Lock, service: PlanService, shard_id: str
+) -> None:
     """Answer one request; every outcome, failures included, goes back."""
     kind, request_id, trace = item[0], item[1], item[-1]
     spans: list = []
@@ -132,17 +154,18 @@ def _handle(item: tuple, responses, service: PlanService, shard_id: str) -> None
                         for span in active.spans
                     ]
     except ReproError as error:
-        responses.put((request_id, False, (type(error).__name__, str(error)), spans))
+        message = (request_id, False, (type(error).__name__, str(error)), spans)
     except Exception as error:  # noqa: BLE001 - a lost answer hangs the parent
         # Anything escaping here (e.g. a TypeError from rejected algorithm
         # options) must still produce a response: the parent's waiter has no
         # timeout and the process stays alive, so a swallowed exception
         # would leave the caller waiting forever.
-        responses.put(
-            (request_id, False, ("ShardingError", f"{type(error).__name__}: {error}"), spans)
-        )
+        message = (request_id, False, ("ShardingError", f"{type(error).__name__}: {error}"), spans)
     else:
-        responses.put((request_id, True, answer, spans))
+        message = (request_id, True, answer, spans)
+    frame = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    with send_lock:
+        connection.send_bytes(frame)
 
 
 def _fingerprint_to_wire(fingerprint: ProblemFingerprint | None) -> tuple | None:
@@ -237,6 +260,19 @@ def _batch_operation(
     return ("batch", payloads, budget_seconds, shipped)
 
 
+def _exit_code(process: multiprocessing.process.BaseProcess) -> int | None:
+    """A dying child's exit code, read without reaping it: a reap on the
+    multiplexer thread would race a caller's join (of two ``waitpid`` calls,
+    the loser reads no exit code at all)."""
+    if not multiprocessing.connection.wait([process.sentinel], timeout=1.0):
+        return None  # its pipe broke, yet it still runs
+    try:
+        status = os.waitid(os.P_PID, process.pid, os.WEXITED | os.WNOWAIT)
+    except (AttributeError, ChildProcessError):  # no waitid, or not our child
+        return process.exitcode
+    return status.si_status if status.si_code == os.CLD_EXITED else -status.si_status
+
+
 def _resolve(waiter: Future, outcome: tuple) -> None:
     """Complete a waiter with ``(ok, payload, spans)`` unless its caller gave up."""
     if waiter.set_running_or_notify_cancel():
@@ -260,26 +296,33 @@ class ProcessShard:
     ) -> None:
         self.shard_id = shard_id
         context = preferred_context(mp_context)
-        self._requests = context.Queue()
-        self._responses = context.Queue()
+        self._connection, child_end = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_shard_service_main,
-            args=(self._requests, self._responses, config, shard_id),
+            args=(child_end, self._connection, config, shard_id),
             daemon=True,
             name=f"plan-shard-{shard_id}",
         )
         self._process.start()
+        child_end.close()  # the child's exit now closes the pipe
+        self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._next_request_id = 0
-        self._waiters: dict[int, Future] = {}
+        self._request_ids = itertools.count()
+        self._waiters: dict[int, Future] = {}  # guarded-by: _lock
+        self._death: str | None = None  # guarded-by: _lock
         self._closed = threading.Event()
         self.multiplexer = multiplexer if multiplexer is not None else default_multiplexer()
-        self._port = self.multiplexer.register(
-            self._responses,
-            on_message=self._dispatch,
-            alive=self._process.is_alive,
-            on_death=self._on_death,
-        )
+        try:
+            self._port = self.multiplexer.register(
+                self._connection,
+                on_message=self._dispatch,
+                sentinel=self._process.sentinel,
+                on_death=self._on_death,
+            )
+        except BaseException:  # a closed multiplexer: do not leak the child
+            self._process.kill()
+            self._process.join()
+            raise
 
     # -- shard surface (duck-typed like PlanService) -----------------------
 
@@ -349,45 +392,61 @@ class ProcessShard:
         if self._closed.is_set():
             return
         self._closed.set()
-        try:
-            self._requests.put(_SHUTDOWN)
-        except (OSError, ValueError):  # pragma: no cover - queue already torn down
-            pass
+        # A sender blocked on the full pipe of a wedged child holds the send
+        # lock: then the child gets no shutdown message, only terminate().
+        if self._send_lock.acquire(timeout=timeout):
+            try:
+                self._connection.send(_SHUTDOWN)
+            except OSError:  # the child is already gone
+                pass
+            finally:
+                self._send_lock.release()
         self._process.join(timeout=timeout)
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=timeout)
-        # Unregister before closing the channel: the multiplexer tolerates the
+        # Unregister before closing the pipe: the multiplexer tolerates the
         # closure race, but must stop dispatching for this shard first.
         self.multiplexer.unregister(self._port)
         self._fail_waiters("the shard was closed with requests in flight")
-        self._requests.close()
-        self._responses.close()
+        if self._send_lock.acquire(timeout=timeout):
+            self._connection.close()
+            self._send_lock.release()
 
     # -- internals ---------------------------------------------------------
 
     def _send(self, operation: tuple) -> Future:
-        """Register a waiter and enqueue one operation.
+        """Register a waiter and send one operation to the child.
 
         The waiter resolves to the child's ``(ok, payload, spans)`` answer —
-        from the multiplexer's dispatch, the death sweep, or :meth:`close`.
+        from the multiplexer's dispatch, :meth:`_on_death`, or :meth:`close`.
+        Once the shard's death has been seen, this raises at once instead.
         """
         if self._closed.is_set():
             raise ShardingError(f"shard {self.shard_id!r} has been closed")
-        waiter: Future = Future()
-        with self._lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._waiters[request_id] = waiter
-        # A caller that gives up (a cancelled await) drops its waiter at once,
-        # so the shard's late answer is discarded instead of routed.
-        waiter.add_done_callback(functools.partial(self._forget, request_id))
+        request_id = next(self._request_ids)
         kind, *rest = operation
         # The trace rides as the operation's last element; the child re-enters
         # it and ships its spans back with the answer.  On the async path the
         # coroutine runs inside the caller's activation (contextvars flow into
         # tasks), so the same read works for both.
-        self._requests.put((kind, request_id, *rest, current_trace()))
+        frame = pickle.dumps((kind, request_id, *rest, current_trace()), pickle.HIGHEST_PROTOCOL)
+        waiter: Future = Future()
+        with self._lock:
+            if self._death is not None:
+                raise ShardingError(f"shard {self.shard_id!r}: {self._death}")
+            self._waiters[request_id] = waiter
+        # A caller that gives up (a cancelled await) drops its waiter at once,
+        # so the shard's late answer is discarded instead of routed.
+        waiter.add_done_callback(functools.partial(self._forget, request_id))
+        try:
+            with self._send_lock:
+                self._connection.send_bytes(frame)
+        except OSError:
+            # The child's end is gone.  Its exit fails the waiter through
+            # _on_death; after close() nothing would, so fail it here.
+            if self._closed.is_set():
+                self._fail_waiters("the shard was closed with requests in flight")
         return waiter
 
     def _forget(self, request_id: int, waiter: Future) -> None:
@@ -424,13 +483,15 @@ class ProcessShard:
             _resolve(waiter, (ok, payload, extra[0] if extra else []))
 
     def _on_death(self) -> None:
-        """Multiplexer callback: the shard process died with nothing buffered.
-
-        Swept at the poll cadence until :meth:`close` unregisters the port,
-        so registrations racing the death are failed too instead of hanging
-        forever.
-        """
-        self._fail_waiters(f"shard process died (exit code {self._process.exitcode})")
+        """Multiplexer callback: the child exited and its written answers are
+        dispatched.  Fail the rest; from now on :meth:`_send` refuses at once."""
+        if self._closed.is_set():
+            self._fail_waiters("the shard was closed with requests in flight")
+            return
+        death = f"shard process died (exit code {_exit_code(self._process)})"
+        with self._lock:
+            self._death = death
+        self._fail_waiters(death)
 
     def _fail_waiters(self, message: str) -> None:
         with self._lock:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from repro.exceptions import ShardingError
 from repro.serving import PlanServiceConfig
 from repro.sharding import ProcessShard, ShardRouter, ShardRouterConfig
 from repro.sharding.multiplexer import ResponseMultiplexer, default_multiplexer
+from repro.sharding.process import preferred_context
 
 
 def fast_config(**overrides) -> PlanServiceConfig:
@@ -107,73 +109,110 @@ class TestDeathAndShutdown:
         assert not any(t.name == "test-mux-2" for t in threading.enumerate())
 
 
-class TestPollConfiguration:
-    """The sweep cadence is configurable, and an idle loop schedules no timer."""
+def _answer_and_exit(writer, count: int) -> None:
+    """A child that writes ``count`` answers and exits."""
+    for request_id in range(count):
+        writer.send((request_id, True, "answer", []))
 
-    def test_idle_selector_parks_without_timeout(self, monkeypatch):
-        """With zero registered ports the selector waits with ``timeout=None``."""
+
+class TestDeathEvents:
+    def test_buffered_answers_are_dispatched_before_on_death(self):
+        """The child has written and exited before the loop first looks:
+        sentinel and pipe are ready at once, and the answers still win."""
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        child = preferred_context().Process(target=_answer_and_exit, args=(writer, 3))
+        child.start()
+        writer.close()
+        child.join(timeout=10)
+        events: list = []
+        died = threading.Event()
+
+        def on_death() -> None:
+            events.append("death")
+            died.set()
+
+        mux = ResponseMultiplexer(name="test-mux-order")
+        try:
+            mux.register(
+                reader, on_message=events.append, sentinel=child.sentinel, on_death=on_death
+            )
+            assert died.wait(timeout=5.0)
+            assert events == [(0, True, "answer", []), (1, True, "answer", []),
+                              (2, True, "answer", []), "death"]
+            assert mux.ports() == 0  # a dead port leaves the wait set
+        finally:
+            mux.close()
+            reader.close()
+
+    def test_a_port_without_a_sentinel_dies_at_end_of_file(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send((7, True, "last words", []))
+        writer.close()
+        received: list = []
+        died = threading.Event()
+        mux = ResponseMultiplexer(name="test-mux-eof-port")
+        try:
+            mux.register(reader, on_message=received.append, on_death=died.set)
+            assert died.wait(timeout=5.0)
+            assert received == [(7, True, "last words", [])]
+        finally:
+            mux.close()
+            reader.close()
+
+    def test_an_undecodable_answer_is_dropped_and_draining_continues(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send_bytes(b"not a pickle")
+        writer.send((1, True, "fine", []))
+        received: list = []
+        got = threading.Event()
+
+        def on_message(item) -> None:
+            received.append(item)
+            got.set()
+
+        mux = ResponseMultiplexer(name="test-mux-garbage")
+        try:
+            mux.register(reader, on_message=on_message)
+            assert got.wait(timeout=5.0)
+            assert received == [(1, True, "fine", [])]
+        finally:
+            mux.close()
+            reader.close()
+            writer.close()
+
+
+class TestSelectorWait:
+    """Deaths are events, not polls: the selector never schedules a wake-up."""
+
+    def test_selector_waits_without_a_timeout(self, monkeypatch):
+        """Idle or with a port registered, ``wait`` is called with ``timeout=None``."""
         import multiprocessing.connection as mp_connection
 
         recorded: list[float | None] = []
         real_wait = mp_connection.wait
 
         def recording_wait(waitables, timeout=None):
-            if threading.current_thread().name == "test-mux-idle":
+            # Only the selector's own call: Connection.poll() also goes
+            # through wait(), with a zero timeout, to test readiness.
+            if sys._getframe(1).f_code.co_name == "_run_once":
                 recorded.append(timeout)
             # Clamp so the loop keeps cycling (and recording) during the test.
-            clamped = 0.01 if timeout is None else min(timeout, 0.01)
-            return real_wait(waitables, timeout=clamped)
+            return real_wait(waitables, timeout=0.01)
 
         monkeypatch.setattr(mp_connection, "wait", recording_wait)
-        mux = ResponseMultiplexer(name="test-mux-idle", poll_seconds=0.05)
-        response_queue = multiprocessing.Queue()
+        mux = ResponseMultiplexer(name="test-mux-wait")
+        reader, writer = multiprocessing.Pipe(duplex=False)
         try:
-            port = mux.register(response_queue, on_message=lambda item: None)
+            port = mux.register(reader, on_message=lambda item: None)
             time.sleep(0.1)
-            assert 0.05 in recorded  # registered: the sweep cadence drives the timeout
+            assert recorded, "the registered loop should cycle (clamped wait)"
+            assert all(timeout is None for timeout in recorded)
             mux.unregister(port)
-            time.sleep(0.05)  # let a racing pass with the stale snapshot drain
             recorded.clear()
             time.sleep(0.1)
             assert recorded, "the idle loop should still cycle (clamped wait)"
             assert all(timeout is None for timeout in recorded)
         finally:
             mux.close()
-            response_queue.close()
-
-    def test_death_sweep_honours_low_poll_cadence(self):
-        """A 20 ms cadence fails dead-shard waiters fast — no 250 ms sleeps."""
-        mux = ResponseMultiplexer(name="test-mux-sweep", poll_seconds=0.02)
-        response_queue = multiprocessing.Queue()
-        died = threading.Event()
-        try:
-            port = mux.register(
-                response_queue,
-                on_message=lambda item: None,
-                alive=lambda: False,
-                on_death=died.set,
-            )
-            assert died.wait(timeout=2.0)
-            mux.unregister(port)
-        finally:
-            mux.close()
-            response_queue.close()
-
-    def test_default_poll_env_override(self, monkeypatch):
-        from repro.sharding.multiplexer import _POLL_SECONDS, _default_poll_seconds
-
-        monkeypatch.setenv("REPRO_MUX_POLL_SECONDS", "0.03")
-        assert _default_poll_seconds() == 0.03
-        monkeypatch.delenv("REPRO_MUX_POLL_SECONDS")
-        assert _default_poll_seconds() == _POLL_SECONDS
-
-    @pytest.mark.parametrize("value", ["zero", "-1", "0", ""])
-    def test_default_poll_env_rejects_non_positive(self, monkeypatch, value):
-        from repro.sharding.multiplexer import _POLL_SECONDS, _default_poll_seconds
-
-        monkeypatch.setenv("REPRO_MUX_POLL_SECONDS", value)
-        if value == "":
-            assert _default_poll_seconds() == _POLL_SECONDS  # unset-equivalent
-        else:
-            with pytest.raises(ValueError, match="positive number"):
-                _default_poll_seconds()
+            reader.close()
+            writer.close()

@@ -3,6 +3,7 @@ fingerprint the router ships with each problem."""
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,16 @@ class TestAlive:
             shard.close()
             mux.close()
         assert not shard.alive()
+
+
+class TestRegistration:
+    def test_a_refused_registration_does_not_leak_the_child(self):
+        mux = ResponseMultiplexer(name="test-mux-refusing")
+        mux.close()
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="closed"):
+            ProcessShard("refused", PlanServiceConfig(budget_seconds=None), multiplexer=mux)
+        assert set(multiprocessing.active_children()) == before
 
 
 @pytest.fixture(scope="module")
