@@ -315,9 +315,27 @@ def bottleneck_cost(
     order: Sequence[int],
     sink_transfer: Sequence[float] | None = None,
 ) -> float:
-    """The bottleneck cost metric (Eq. 1) of the complete plan ``order``."""
-    stages = stage_costs(costs, selectivities, transfer, order, sink_transfer)
-    return max(stage.total for stage in stages)
+    """The bottleneck cost metric (Eq. 1) of the complete plan ``order``.
+
+    Each term is computed as :func:`stage_costs` computes it
+    (``rate * c + rate * σ * t``), so the result is ``==`` the largest
+    :attr:`StageCost.total`, without building the breakdown.
+    """
+    _validate_order(order, transfer.size)
+    worst = None
+    rate = 1.0
+    for index, successor in zip(order, [*order[1:], None]):
+        if successor is not None:
+            outgoing = transfer.cost(index, successor)
+        elif sink_transfer is not None:
+            outgoing = float(sink_transfer[index])
+        else:
+            outgoing = 0.0
+        term = rate * costs[index] + rate * selectivities[index] * outgoing
+        if worst is None or term > worst:
+            worst = term
+        rate *= selectivities[index]
+    return worst
 
 
 def bottleneck_stage(

@@ -11,8 +11,8 @@ One event loop serves every route of :mod:`repro.serving.http`:
   awaitable surface: a :class:`~repro.serving.service.PlanService` answers a
   cache hit inline on the loop and awaits a miss's optimization future, and a
   process-shard :class:`~repro.sharding.router.ShardRouter` suspends the
-  request on a future the shard multiplexer resolves — no handler thread
-  exists anywhere on the request path;
+  request on a loop future that the same loop resolves when the shard's
+  answer arrives — no handler thread exists anywhere on the request path;
 * **overload** is the backend's admission control: a request beyond its
   bound is refused at once with HTTP 503 (``GET /healthz`` never waits on
   the backend — it only checks which shard processes are alive — so
@@ -23,10 +23,12 @@ One event loop serves every route of :mod:`repro.serving.http`:
 
 HTTP/1.1 parsing is hand-rolled and minimal (request line, headers,
 ``Content-Length``-framed bodies, keep-alive) in the repository's
-stdlib-only style.  A process-shard deployment runs exactly one event loop
-for sockets plus the one selector thread
-(:class:`~repro.sharding.multiplexer.ResponseMultiplexer`) for the shards'
-duplex pipes and exit sentinels.
+stdlib-only style.  :func:`serve_async` runs the server on the backend's own
+event loop when the backend has one (its ``event_loop`` attribute): a
+process-shard deployment then runs exactly one event-loop thread, the
+:class:`~repro.sharding.multiplexer.ResponseMultiplexer`'s, for sockets and
+for the shards' duplex pipes and exit sentinels.  Other backends get a loop
+thread of their own.
 
 ``benchmarks/bench_async.py`` measures the payoff: K deliberately slow
 clients leave fast-client latency through this server at its baseline.
@@ -270,11 +272,15 @@ class AsyncServerHandle:
 
     What synchronous callers (tests, the CLI's ``repro serve``) hold:
     exposes the bound address and a blocking :meth:`close` that performs the
-    server's graceful shutdown and joins the loop thread.
+    server's graceful shutdown and, when the loop thread is the handle's own
+    (``thread`` given), stops and joins it.  A borrowed loop runs on.
     """
 
     def __init__(
-        self, server: AsyncPlanServer, loop: asyncio.AbstractEventLoop, thread: threading.Thread
+        self,
+        server: AsyncPlanServer,
+        loop: asyncio.AbstractEventLoop,
+        thread: threading.Thread | None,
     ) -> None:
         self.server = server
         self._loop = loop
@@ -296,10 +302,11 @@ class AsyncServerHandle:
         try:
             drained = future.result(timeout=timeout + 10.0)
         finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            if not self._thread.is_alive():
-                self._loop.close()
+            if self._thread is not None:
+                self._loop.call_soon_threadsafe(self._loop.stop)
+                self._thread.join(timeout=10.0)
+                if not self._thread.is_alive():
+                    self._loop.close()
         return drained
 
     def __enter__(self) -> "AsyncServerHandle":
@@ -317,12 +324,18 @@ def serve_async(
 ) -> AsyncServerHandle:
     """Start an :class:`AsyncPlanServer` on a background event-loop thread.
 
-    Returns once the socket is bound (binding errors re-raise here); the
-    handle's :meth:`~AsyncServerHandle.close` shuts everything down
+    The thread is the backend's own loop when it has one (``event_loop``,
+    e.g. a process-shard router's multiplexer), else a new ``aserver-loop``
+    thread.  Returns once the socket is bound (binding errors re-raise here);
+    the handle's :meth:`~AsyncServerHandle.close` shuts everything down
     gracefully.  ``server_options`` are forwarded (``max_body_bytes``,
     ``request_timeout``).
     """
     server = AsyncPlanServer(plan_service, host, port, **server_options)
+    loop = getattr(plan_service, "event_loop", None)
+    if loop is not None:
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result()
+        return AsyncServerHandle(server, loop, None)
     loop = asyncio.new_event_loop()
     started = threading.Event()
     startup_error: list[BaseException] = []

@@ -138,17 +138,22 @@ def fingerprint_problem(
     sink_transfer = problem.sink_transfer
     sink = quantized(sink_transfer) if sink_transfer is not None else [0] * size
     rows = [quantized(problem.transfer.row(i)) for i in range(size)]
-    columns = list(zip(*rows))
 
     # A service's sort key: (cost, selectivity, sink transfer, its sorted
     # outgoing and incoming transfers, name) -- the name is the last,
-    # deterministic tie-break.  The diagonal quantizes to 0, the smallest
-    # value a transfer can take, so every sorted row and column leads with
-    # it, and keeping it orders the keys exactly as leaving it out does.
-    signatures = [
-        (costs[i], selectivities[i], sink[i], sorted(rows[i]), sorted(columns[i]), services[i].name)
-        for i in range(size)
-    ]
+    # deterministic tie-break.  A tuple comparison never reaches a later
+    # field once an earlier one differs, so while no two services tie on the
+    # three leading fields, those alone give the same order.
+    signatures = list(zip(costs, selectivities, sink))
+    if len(set(signatures)) < size:
+        # The diagonal quantizes to 0, the smallest value a transfer can
+        # take, so every sorted row and column leads with it, and keeping it
+        # orders the keys exactly as leaving it out does.
+        columns = list(zip(*rows))
+        signatures = [
+            (*signatures[i], sorted(rows[i]), sorted(columns[i]), services[i].name)
+            for i in range(size)
+        ]
     canonical = tuple(sorted(range(size), key=signatures.__getitem__))
     position_of = {index: position for position, index in enumerate(canonical)}
     # One row in canonical column order (a one-index itemgetter returns the

@@ -20,12 +20,15 @@ service — cache, portfolio, admission control — into its own OS process:
 * parent and child share one duplex pipe; each side pickles outside its
   send lock and writes the frame under it (the parent has many concurrent
   senders, the child answers from executor threads);
-* the parent side multiplexes: every request registers one waiter — a
-  :class:`concurrent.futures.Future` keyed by request id — and the
-  process-wide :class:`~repro.sharding.multiplexer.ResponseMultiplexer`, one
-  selector thread over *all* shards' pipes and exit sentinels, resolves it.
-  Blocking callers (:meth:`ProcessShard.submit`) wait on that future;
-  event-loop callers (:meth:`ProcessShard.submit_async`) await it.
+* the parent side multiplexes: every request registers one waiter keyed by
+  request id, and the process-wide
+  :class:`~repro.sharding.multiplexer.ResponseMultiplexer` — one event loop
+  reading *all* shards' pipes and exit sentinels — resolves it.  A caller
+  awaiting on that loop (the HTTP front end of a process-shard router)
+  waits on a loop future, resolved on its own thread; a blocking caller
+  (:meth:`ProcessShard.submit`) or a caller on another loop waits on a
+  :class:`concurrent.futures.Future` the loop resolves.  A blocking call on
+  the loop thread itself would never see its answer, so it is refused.
 
 Shard-side failures are re-raised in the parent with their original type
 where it matters (:class:`~repro.exceptions.AdmissionError` must keep
@@ -41,7 +44,6 @@ import asyncio
 import functools
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import threading
@@ -260,22 +262,33 @@ def _batch_operation(
     return ("batch", payloads, budget_seconds, shipped)
 
 
+_EXIT_POLL_SECONDS = 0.005
+_EXIT_WAIT_SECONDS = 1.0
+"""How often, and how long, a shard whose pipe closed looks for its child's
+exit code before it reports the death without one."""
+
+
 def _exit_code(process: multiprocessing.process.BaseProcess) -> int | None:
-    """A dying child's exit code, read without reaping it: a reap on the
-    multiplexer thread would race a caller's join (of two ``waitpid`` calls,
-    the loser reads no exit code at all)."""
-    if not multiprocessing.connection.wait([process.sentinel], timeout=1.0):
-        return None  # its pipe broke, yet it still runs
+    """A dead child's exit code, read without waiting and without reaping it:
+    ``None`` while it has not finished exiting.  A reap on the multiplexer's
+    loop would race a caller's join (of two ``waitpid`` calls, the loser reads
+    no exit code at all)."""
     try:
-        status = os.waitid(os.P_PID, process.pid, os.WEXITED | os.WNOWAIT)
+        status = os.waitid(os.P_PID, process.pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
     except (AttributeError, ChildProcessError):  # no waitid, or not our child
         return process.exitcode
+    if status is None:
+        return None
     return status.si_status if status.si_code == os.CLD_EXITED else -status.si_status
 
 
-def _resolve(waiter: Future, outcome: tuple) -> None:
-    """Complete a waiter with ``(ok, payload, spans)`` unless its caller gave up."""
-    if waiter.set_running_or_notify_cancel():
+def _resolve(waiter: "Future | asyncio.Future", outcome: tuple) -> None:
+    """Complete a waiter with ``(ok, payload, spans)`` unless its caller gave
+    up.  A loop future must be completed on its loop's thread."""
+    if isinstance(waiter, Future):
+        if waiter.set_running_or_notify_cancel():
+            waiter.set_result(outcome)
+    elif not waiter.done():
         waiter.set_result(outcome)
 
 
@@ -284,7 +297,7 @@ class ProcessShard:
 
     ``multiplexer`` injects the answer-correlation loop; by default every
     shard in the process shares :func:`default_multiplexer`, so N shards are
-    served by one selector thread instead of N reader threads.
+    served by one event-loop thread instead of N reader threads.
     """
 
     def __init__(
@@ -308,7 +321,7 @@ class ProcessShard:
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
         self._request_ids = itertools.count()
-        self._waiters: dict[int, Future] = {}  # guarded-by: _lock
+        self._waiters: dict[int, Future | asyncio.Future] = {}  # guarded-by: _lock
         self._death: str | None = None  # guarded-by: _lock
         self._closed = threading.Event()
         self.multiplexer = multiplexer if multiplexer is not None else default_multiplexer()
@@ -415,8 +428,9 @@ class ProcessShard:
 
     # -- internals ---------------------------------------------------------
 
-    def _send(self, operation: tuple) -> Future:
-        """Register a waiter and send one operation to the child.
+    def _send(self, operation: tuple, waiter: "Future | asyncio.Future | None" = None):
+        """Register ``waiter`` (a new :class:`Future` by default) and send one
+        operation to the child; returns the waiter.
 
         The waiter resolves to the child's ``(ok, payload, spans)`` answer —
         from the multiplexer's dispatch, :meth:`_on_death`, or :meth:`close`.
@@ -431,7 +445,8 @@ class ProcessShard:
         # coroutine runs inside the caller's activation (contextvars flow into
         # tasks), so the same read works for both.
         frame = pickle.dumps((kind, request_id, *rest, current_trace()), pickle.HIGHEST_PROTOCOL)
-        waiter: Future = Future()
+        if waiter is None:
+            waiter = Future()
         with self._lock:
             if self._death is not None:
                 raise ShardingError(f"shard {self.shard_id!r}: {self._death}")
@@ -449,7 +464,7 @@ class ProcessShard:
                 self._fail_waiters("the shard was closed with requests in flight")
         return waiter
 
-    def _forget(self, request_id: int, waiter: Future) -> None:
+    def _forget(self, request_id: int, waiter) -> None:
         if waiter.cancelled():
             with self._lock:
                 self._waiters.pop(request_id, None)
@@ -468,10 +483,19 @@ class ProcessShard:
 
     def _call(self, operation: tuple):
         """Send one operation to the shard and block for its answer."""
+        if self.multiplexer.on_loop_thread():
+            raise ShardingError(
+                f"shard {self.shard_id!r}: a blocking call on the multiplexer's loop "
+                "would wait for an answer only that loop can read; await the async surface"
+            )
         return self._result(self._send(operation).result())
 
     async def _call_async(self, operation: tuple):
         """Send one operation and await its answer on the event loop."""
+        if self.multiplexer.on_loop_thread():
+            # The loop that reads the answer resolves it: no thread hand-off.
+            waiter = asyncio.get_running_loop().create_future()
+            return self._result(await self._send(operation, waiter))
         return self._result(await asyncio.wrap_future(self._send(operation)))
 
     def _dispatch(self, item: tuple) -> None:
@@ -482,13 +506,23 @@ class ProcessShard:
         if waiter is not None:
             _resolve(waiter, (ok, payload, extra[0] if extra else []))
 
-    def _on_death(self) -> None:
-        """Multiplexer callback: the child exited and its written answers are
-        dispatched.  Fail the rest; from now on :meth:`_send` refuses at once."""
+    def _on_death(self, waited: float = 0.0) -> None:
+        """Multiplexer callback: the child exited (or its pipe closed) and its
+        written answers are dispatched.  Fail the rest; from now on
+        :meth:`_send` refuses at once."""
         if self._closed.is_set():
             self._fail_waiters("the shard was closed with requests in flight")
             return
-        death = f"shard process died (exit code {_exit_code(self._process)})"
+        code = _exit_code(self._process)
+        if code is None and waited < _EXIT_WAIT_SECONDS:
+            # The pipe closed a moment before the child finished exiting (or
+            # the child closed it and runs on): look again later rather than
+            # wait on the loop.
+            asyncio.get_running_loop().call_later(
+                _EXIT_POLL_SECONDS, self._on_death, waited + _EXIT_POLL_SECONDS
+            )
+            return
+        death = f"shard process died (exit code {code})"
         with self._lock:
             self._death = death
         self._fail_waiters(death)
@@ -496,5 +530,10 @@ class ProcessShard:
     def _fail_waiters(self, message: str) -> None:
         with self._lock:
             waiters, self._waiters = self._waiters, {}
+        outcome = (False, ("ShardingError", message), [])
+        on_loop = self.multiplexer.on_loop_thread()
         for waiter in waiters.values():
-            _resolve(waiter, (False, ("ShardingError", message), []))
+            if on_loop or isinstance(waiter, Future):
+                _resolve(waiter, outcome)
+            else:  # a loop future, failed by a closing thread
+                waiter.get_loop().call_soon_threadsafe(_resolve, waiter, outcome)

@@ -156,11 +156,17 @@ class ShardRouter:
     @property
     def multiplexer(self):
         """The multiplexer this router's process shards answer through (one
-        selector loop for all of them — see
-        :mod:`repro.sharding.multiplexer`), or ``None`` before any process
-        shard exists (e.g. the in-proc backend, which needs no response
-        correlation)."""
+        event loop for all of them — see :mod:`repro.sharding.multiplexer`),
+        or ``None`` before any process shard exists (e.g. the in-proc
+        backend, which needs no response correlation)."""
         return self._multiplexer
+
+    @property
+    def event_loop(self):
+        """The multiplexer's event loop, on which the HTTP front end serves
+        too (:func:`repro.serving.aserver.serve_async`), or ``None`` without
+        process shards."""
+        return self._multiplexer.loop if self._multiplexer is not None else None
 
     @property
     def shard_ids(self) -> tuple[str, ...]:

@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 from repro.core import (
     CommunicationCostMatrix,
     OrderingProblem,
+    PrecedenceGraph,
+    bottleneck_cost,
     branch_and_bound,
     dynamic_programming,
     epsilon_bar,
     exhaustive_search,
+    stage_costs,
 )
 from repro.core.srivastava import selective_exchange_argument_holds, srivastava
 
@@ -191,3 +194,33 @@ def test_plan_cost_is_independent_of_service_index_labelling(problem, rng):
     inverse = {old: new for new, old in enumerate(relabel)}
     order_new = tuple(inverse[index] for index in order_old)
     assert abs(problem.cost(order_old) - relabelled.cost(order_new)) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems(max_size=8, max_selectivity=2.5), st.data())
+def test_bottleneck_cost_is_the_largest_stage_total(problem, data):
+    """The plain-loop price of a plan is ``==`` the largest term of the
+    per-stage breakdown, with and without sink transfers and precedence."""
+    size = problem.size
+    order = data.draw(st.permutations(range(size)))
+    sink = data.draw(
+        st.none()
+        | st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=size, max_size=size)
+    )
+    precedence = None
+    if size > 1 and data.draw(st.booleans()):
+        # Edges that follow the plan keep it feasible.
+        precedence = PrecedenceGraph(size)
+        pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        for before, after in data.draw(st.lists(pairs, max_size=6)):
+            if before < after:
+                precedence.add(order[before], order[after])
+    problem = OrderingProblem(
+        problem.services, problem.transfer, precedence=precedence, sink_transfer=sink
+    )
+    breakdown = stage_costs(
+        problem.costs, problem.selectivities, problem.transfer, order, problem.sink_transfer
+    )
+    largest = max(stage.total for stage in breakdown)
+    assert problem.cost(order) == largest
+    assert bottleneck_cost(problem.costs, problem.selectivities, problem.transfer, order, sink) == largest

@@ -156,6 +156,41 @@ class TestNativeParity:
         assert thread_names() <= before  # no thread per request, anywhere
 
 
+class TestOneEventLoop:
+    """A process-shard deployment serves sockets and shard pipes on one loop."""
+
+    def test_front_end_and_multiplexer_share_one_thread(
+        self, native_server, make_random_problem, monkeypatch
+    ):
+        url, router, _ = native_server
+        served_on: list[str] = []
+        submit_async = router.submit_async
+
+        async def recording(problem, **options):
+            served_on.append(threading.current_thread().name)
+            return await submit_async(problem, **options)
+
+        monkeypatch.setattr(router, "submit_async", recording)
+        status, _ = post_json(f"{url}/plan", problem_to_dict(make_random_problem(5, 40)))
+        assert status == 200
+        assert served_on == [router.multiplexer.thread_name] == ["shard-mux"]
+        assert "aserver-loop" not in thread_names()
+
+    def test_blocking_batch_and_stats_still_answer_while_served(
+        self, native_server, make_random_problem
+    ):
+        """Callers off the loop keep a thread future the loop resolves: a
+        private ``asyncio.run`` loop, a blocking submit and ``/stats``."""
+        url, router, _ = native_server
+        problems = [make_random_problem(5, 50 + seed) for seed in range(6)]
+        responses = router.optimize_batch(problems)
+        assert [sorted(response.order) for response in responses] == [list(range(5))] * 6
+        assert router.submit(problems[0]).cache_hit
+        status, payload = get_json(f"{url}/stats")
+        assert status == 200
+        assert payload["shards"] == 2 and payload["down"] == []
+
+
 class TestNativeTraceStitching:
     def test_one_tree_spans_all_four_layers(self, native_server, make_random_problem):
         """The ISSUE acceptance: http.request → router.submit → shard.submit →

@@ -230,6 +230,25 @@ class TestMatchesTheReference:
         assert fingerprint.canonical_order == (1, 0, 2)
         assert fingerprint == oracle_fingerprint(problem)
 
+    def test_services_tied_on_the_leading_fields_fall_back_to_transfers(self):
+        # "b" and "y" tie on cost, selectivity and sink transfer, so their
+        # sorted transfers decide; "q" differs and is placed by cost alone.
+        # The names would put "b" first, the cheaper outgoing transfers of
+        # "y" put it first.
+        problem = OrderingProblem.from_parameters(
+            [2.0, 2.0, 0.5],
+            [0.5, 0.5, 0.9],
+            [[0.0, 3.0, 4.0], [1.0, 0.0, 1.0], [2.0, 2.0, 0.0]],
+            names=["b", "y", "q"],
+            sink_transfer=[1.0, 1.0, 1.0],
+        )
+        fingerprint = fingerprint_problem(problem)
+        assert fingerprint.canonical_order == (2, 1, 0)
+        assert fingerprint == oracle_fingerprint(problem)
+        assert fingerprint_problem(problem, include_names=True) == oracle_fingerprint(
+            problem, include_names=True
+        )
+
     def test_golden_digest(self):
         # The credit-card screening query at the default precision.  If this
         # changes, every cache key, routed shard and response fingerprint

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -181,38 +181,57 @@ class TestDeathEvents:
             writer.close()
 
 
-class TestSelectorWait:
-    """Deaths are events, not polls: the selector never schedules a wake-up."""
+class TestIdleLoop:
+    """Deaths are events, not polls: the loop never schedules a wake-up."""
 
-    def test_selector_waits_without_a_timeout(self, monkeypatch):
-        """Idle or with a port registered, ``wait`` is called with ``timeout=None``."""
-        import multiprocessing.connection as mp_connection
-
-        recorded: list[float | None] = []
-        real_wait = mp_connection.wait
-
-        def recording_wait(waitables, timeout=None):
-            # Only the selector's own call: Connection.poll() also goes
-            # through wait(), with a zero timeout, to test readiness.
-            if sys._getframe(1).f_code.co_name == "_run_once":
-                recorded.append(timeout)
-            # Clamp so the loop keeps cycling (and recording) during the test.
-            return real_wait(waitables, timeout=0.01)
-
-        monkeypatch.setattr(mp_connection, "wait", recording_wait)
-        mux = ResponseMultiplexer(name="test-mux-wait")
+    def test_idle_loop_has_no_timer_scheduled(self, make_random_problem):
+        """With no port, with a bare pipe and with a live shard (pipe and exit
+        sentinel) registered, the loop waits on file descriptors alone."""
+        mux = ResponseMultiplexer(name="test-mux-idle")
         reader, writer = multiprocessing.Pipe(duplex=False)
+        shard = None
         try:
+            assert mux.loop._scheduled == []  # started, nothing registered
             port = mux.register(reader, on_message=lambda item: None)
+            shard = ProcessShard("idle", fast_config(), multiplexer=mux)
+            shard.submit(make_random_problem(4, 5))
             time.sleep(0.1)
-            assert recorded, "the registered loop should cycle (clamped wait)"
-            assert all(timeout is None for timeout in recorded)
+            assert mux.ports() == 2
+            assert mux.loop._scheduled == []
             mux.unregister(port)
-            recorded.clear()
+            shard.close()
             time.sleep(0.1)
-            assert recorded, "the idle loop should still cycle (clamped wait)"
-            assert all(timeout is None for timeout in recorded)
+            assert mux.ports() == 0
+            assert mux.loop._scheduled == []
         finally:
+            if shard is not None:
+                shard.close()
             mux.close()
             reader.close()
             writer.close()
+
+
+class TestLoopThread:
+    def test_blocking_submit_on_the_loop_thread_is_refused_at_once(self, make_random_problem):
+        """Only the loop reads answers, so a blocking wait on it would never
+        end: the shard refuses instead of deadlocking."""
+        mux = ResponseMultiplexer(name="test-mux-blocking")
+        shard = ProcessShard("refuses", fast_config(), multiplexer=mux)
+        problem = make_random_problem(4, 6)
+
+        async def blocking_on_the_loop():
+            with pytest.raises(ShardingError, match="blocking call"):
+                shard.submit(problem)
+            with pytest.raises(ShardingError, match="blocking call"):
+                shard.stats()
+            return await shard.submit_async(problem)  # the loop's own path works
+
+        try:
+            response = asyncio.run_coroutine_threadsafe(
+                blocking_on_the_loop(), mux.loop
+            ).result(timeout=10)
+            assert sorted(response.order) == list(range(4))
+            assert shard._waiters == {}
+        finally:
+            shard.close()
+            mux.close()
