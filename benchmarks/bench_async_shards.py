@@ -2,17 +2,18 @@
 
 One warm :class:`~repro.sharding.router.ShardRouter` over N process shards,
 served by the :class:`~repro.serving.aserver.AsyncPlanServer`: every request
-is awaited end to end — the shard answer resolves the request's future from
-the (single) response-multiplexer thread, and **no** per-request handler
-thread exists.
+is awaited end to end — the server runs on the response multiplexer's event
+loop, so a shard answer resolves the request's future on the thread that
+awaits it, and **no** per-request handler thread exists.
 
 Concurrent keep-alive clients cycle through the same warm (cache-hit)
 problem set.  The clients are *paced* (a fixed per-client think time between
 requests) so the server runs at high-but-not-saturated utilisation: that is
 the regime where p50 measures per-request latency rather than pure queueing.
 The payload also audits live thread counts during the run (no thread beyond
-those alive when the clients started, 1 ``shard-mux`` selector, no
-``QueueFeederThread``: each shard talks over one duplex pipe) and checks
+those alive when the clients started, 1 ``shard-mux`` event loop and no
+``aserver-loop`` thread beside it, no ``QueueFeederThread``: each shard talks
+over one duplex pipe) and checks
 that the served responses are byte-identical to the blocking router's for
 the same problems (modulo the per-call latency measurement).
 
@@ -177,8 +178,8 @@ def run_trial(
                 peak_extra = max(peak_extra, len(extra))
                 time.sleep(0.01)
 
-        # spawn, not fork: the parent runs an event loop, a selector thread
-        # and shard queues — forking that mid-flight is asking for inherited
+        # spawn, not fork: the parent runs an event loop over sockets and
+        # shard pipes — forking that mid-flight is asking for inherited
         # locks; the client worker needs none of it.
         context = multiprocessing.get_context("spawn")
         queue = context.Queue()
@@ -214,11 +215,13 @@ def run_trial(
         sampling.set()
         sampler.join()
         mux_threads = len([t for t in threading.enumerate() if t.name == "shard-mux"])
+        front_end_threads = len([t for t in threading.enumerate() if t.name == "aserver-loop"])
 
     return {
         "latencies": latencies,
         "peak_handler_threads": peak_extra,
         "multiplexer_threads": mux_threads,
+        "front_end_loop_threads": front_end_threads,
     }
 
 
@@ -235,6 +238,7 @@ def measure(
     latencies: list[float] = []
     peak_handler_threads = 0
     multiplexer_threads = []
+    front_end_loop_threads = []
     for _ in range(trials):
         outcome = run_trial(
             router, bodies, clients=clients, duration=duration, think_seconds=think_seconds
@@ -242,6 +246,7 @@ def measure(
         latencies.extend(outcome["latencies"])
         peak_handler_threads = max(peak_handler_threads, outcome["peak_handler_threads"])
         multiplexer_threads.append(outcome["multiplexer_threads"])
+        front_end_loop_threads.append(outcome["front_end_loop_threads"])
     latencies.sort()
     run = {
         "trials": trials,
@@ -252,6 +257,7 @@ def measure(
         "p99_ms": latencies[int(0.99 * (len(latencies) - 1))] * 1e3,
         "peak_handler_threads": peak_handler_threads,
         "multiplexer_threads": max(multiplexer_threads),
+        "front_end_loop_threads": max(front_end_loop_threads),
     }
     print(
         f"{run['requests']} requests over {trials} trial(s), "
@@ -362,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         "one_multiplexer_thread": run["multiplexer_threads"] == 1,
         "responses_byte_identical": parity["mismatches"] == 0,
         "no_queue_feeder_threads": not feeder_threads,
+        # The front end serves on the multiplexer's loop, not a loop of its own.
+        "one_event_loop_thread": (
+            run["multiplexer_threads"] == 1 and run["front_end_loop_threads"] == 0
+        ),
     }
 
     payload = {
@@ -389,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         f"acceptance: zero handler threads: {acceptance['native_zero_handler_threads']}, "
         f"one multiplexer: {acceptance['one_multiplexer_thread']}, byte-identical: "
         f"{acceptance['responses_byte_identical']}, no queue feeder threads: "
-        f"{acceptance['no_queue_feeder_threads']}"
+        f"{acceptance['no_queue_feeder_threads']}, one event loop thread: "
+        f"{acceptance['one_event_loop_thread']}"
     )
     return 0
 

@@ -13,7 +13,7 @@ Two invariants the process-shard stack depends on:
   ``context.Process(...)`` / ``context.Pipe()`` (an mp context threaded
   through) is the sanctioned spelling.  ``multiprocessing.Pipe`` is exempt:
   a pipe is start-method independent — each process shard talks to its
-  child over one duplex pipe, and the multiplexer's self-pipe is a bare one.
+  child over one duplex pipe.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ serving stack horizontally:
   its own OS process behind the array wire codec, which is what makes N
   shards use N cores; parent and child share one duplex pipe,
 * :mod:`repro.sharding.multiplexer` — :class:`ResponseMultiplexer`, the one
-  selector loop correlating every process shard's answers (N shards cost one
-  thread, not N reader threads); it also waits on each child's exit
-  sentinel, so a dead shard's waiters fail the moment it exits,
+  event loop correlating every process shard's answers (N shards cost one
+  thread, not N reader threads); it also watches each child's exit
+  sentinel, so a dead shard's waiters fail the moment it exits, and the
+  HTTP front end of a process-shard router serves on the same loop,
 
 with each shard keeping its own in-process plan cache: the ring gives every
 fingerprint exactly one owning shard, so no cache tier is shared.

@@ -4,7 +4,9 @@ The router is the seam the scale-out architecture plugs into: it exposes the
 same duck-typed surface as a single :class:`~repro.serving.service.PlanService`
 (``submit_async`` / ``optimize_batch_async`` / ``stats`` / ``close``, plus
 blocking ``submit`` / ``optimize_batch`` for library callers), so the HTTP
-front end and the CLI bind to either interchangeably, while behind it
+front end and the CLI bind to either interchangeably — with process shards
+it also offers its ``event_loop``, on which the front end then serves — while
+behind it
 
 * every request is **routed by fingerprint key** over a consistent-hash ring
   (:mod:`repro.sharding.ring`) — structurally identical problems always land

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -235,3 +236,31 @@ class TestLoopThread:
         finally:
             shard.close()
             mux.close()
+
+    def test_loop_futures_and_blocking_callers_share_the_waiters(self, make_random_problem):
+        """Requests awaited on the loop and blocking threads interleave on one
+        shard: every answer reaches its own caller and no waiter is left."""
+        mux = ResponseMultiplexer(name="test-mux-mixed")
+        shard = ProcessShard("mixed", fast_config(), multiplexer=mux)
+        problems = [make_random_problem(5, seed) for seed in range(8)]
+        expected = {problem: shard.submit(problem).order for problem in problems}
+
+        async def on_the_loop():
+            return await asyncio.gather(
+                *(shard.submit_async(problems[k % 8]) for k in range(64))
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            awaited = asyncio.run_coroutine_threadsafe(on_the_loop(), mux.loop)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                blocking = list(pool.map(lambda k: shard.submit(problems[k % 8]), range(96)))
+            answers = awaited.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            shard.close()
+            mux.close()
+        assert [r.order for r in answers] == [expected[problems[k % 8]] for k in range(64)]
+        assert [r.order for r in blocking] == [expected[problems[k % 8]] for k in range(96)]
+        assert shard._waiters == {}
