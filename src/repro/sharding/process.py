@@ -418,8 +418,7 @@ class ProcessShard:
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=timeout)
-        # Unregister before closing the pipe: the multiplexer tolerates the
-        # closure race, but must stop dispatching for this shard first.
+        # Unregister before closing the pipe: the loop stops watching it first.
         self.multiplexer.unregister(self._port)
         self._fail_waiters("the shard was closed with requests in flight")
         if self._send_lock.acquire(timeout=timeout):
@@ -516,8 +515,10 @@ class ProcessShard:
         code = _exit_code(self._process)
         if code is None and waited < _EXIT_WAIT_SECONDS:
             # The pipe closed a moment before the child finished exiting (or
-            # the child closed it and runs on): look again later rather than
-            # wait on the loop.
+            # the child closed it and runs on): refuse sends now, and look
+            # for the exit code again later rather than wait on the loop.
+            with self._lock:
+                self._death = "shard process died"
             asyncio.get_running_loop().call_later(
                 _EXIT_POLL_SECONDS, self._on_death, waited + _EXIT_POLL_SECONDS
             )

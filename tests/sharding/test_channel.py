@@ -154,6 +154,14 @@ def _truncating_main(connection, parent_end, config, shard_id) -> None:
     os._exit(3)
 
 
+def _lingering_main(connection, parent_end, config, shard_id) -> None:
+    """A shard child that reads one request, closes its end of the pipe and
+    runs on without exiting."""
+    connection.recv()
+    connection.close()
+    time.sleep(30)
+
+
 class TestChannelEdges:
     @needs_fork
     def test_a_frame_cut_short_by_a_dying_child_fails_its_waiter_typed(
@@ -174,6 +182,31 @@ class TestChannelEdges:
         finally:
             broken.close()
             healthy.close()
+            mux.close()
+
+    @needs_fork
+    def test_a_closed_pipe_refuses_sends_before_the_child_has_exited(self, monkeypatch):
+        """End of file is death at once: while the loop still looks for the
+        exit code of a child that runs on, sends are refused, not queued."""
+        mux = ResponseMultiplexer(name="test-mux-lingering")
+        monkeypatch.setattr(process_module, "_shard_service_main", _lingering_main)
+        shard = ProcessShard("lingering", fast_config(), mp_context="fork", multiplexer=mux)
+        monkeypatch.undo()
+        try:
+            in_flight = shard._send(("stats",))
+            deadline = time.monotonic() + 10
+            while mux.ports() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)  # the port is dropped just before on_death runs
+            assert shard.alive() and not in_flight.done()
+            with pytest.raises(ShardingError, match="died"):
+                shard._send(("stats",))
+            assert list(shard._waiters) == [0]
+            ok, (error_type, message), _ = in_flight.result(timeout=10)
+            assert not ok and error_type == "ShardingError"
+            assert message == "shard process died (exit code None)"
+        finally:
+            shard.close(timeout=0.5)
             mux.close()
 
     def test_concurrent_large_batches_to_one_shard_do_not_deadlock(self):
